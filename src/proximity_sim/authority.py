@@ -229,6 +229,7 @@ class DispatchServer:
         level: AlertLevel,
         now: float,
     ) -> tuple[str, list[DispatchRecord]]:
+        self.purge_expired_waitlists(now)
         tag = self._mint_origin_tag(level)
         directions = RED_DIRECTIONS if level is AlertLevel.RED else YELLOW_DIRECTIONS
         cut = len(recipients) if capacity is None else capacity
@@ -327,7 +328,10 @@ class DispatchServer:
         return promoted
 
     def purge_expired_waitlists(self, now: float) -> int:
-        """Drop waiting lists older than the configured time to live."""
+        """Drop waiting lists older than the configured time to live.
+
+        Every dispatch transaction calls this first with its own time.
+        """
         stale = [
             tag
             for tag, bucket in self._waitlists.items()

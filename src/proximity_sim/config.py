@@ -106,7 +106,6 @@ class RunConfig:
     sim_params: SimulationParams | None = None
     world_config: WorldConfig | None = None
     trace_file: str | None = None
-    sweep_axis: tuple[str, list] | None = None
 
 
 def _parse_pairs(text: str, schema: dict) -> dict:

@@ -13,9 +13,12 @@ Two alert policies:
 * FROM_INFECTION - a new app-user case is alerted at creation with
   probability equal to the current activation level, and then transmits
   at the reduced rate for its whole infectious window.
-* AT_DETECTION - when a case reaches detection, a Bernoulli(activation
-  level) upload alerts its app-user offspring (and app-user infector)
-  from that day on.
+* AT_DETECTION - every case that reaches detection, app user or not,
+  uploads with probability equal to the activation level of its detection
+  day.  An upload alerts the uploader's app-user offspring from that day
+  on; offspring created on that day are alerted at once.  It also alerts
+  the app-user infector, to no effect: the infector's last infectious day
+  comes before its child's detection day.
 
 Day convention, which fixes the shape of the headline curve: a case
 infected on day s is infectious on days s+1..s+incubation_days, so it
@@ -29,11 +32,31 @@ headline parameters its peak is on day 40 and its day-60/peak ratio is
 (infectious days 1..13: 0.068; ramp ending on day 39: 0.092; alert level
 read on the transmission day: 0.023).
 
-RNG discipline: each replicate owns one seeded generator, and per-day
-draw counts never depend on branch outcomes (app and alert coin flips are
-consumed whether or not they matter).  As a consequence runs that should
-be equivalent - k=1, efficiency=0, activation after the horizon - consume
-identical streams and produce bit-identical series for the same seed.
+Engine: a replicate counts cohorts, not people.  Its state is
+count[s, j, u]: the cases infected on day s whose alert takes effect on
+day s+j (j = incubation_days: never alerted), split by whether they will
+upload at detection (u, used by AT_DETECTION only).  A sum of independent
+Poisson draws over n identical cases is one Poisson draw at n times the
+rate, and thinning a Poisson count by independent coins gives Poisson
+counts, so the recursion is exact.  On day d each source day s in
+d-incubation_days..d-1 draws one Poisson for its offspring, at rate
+r0/incubation_days times (cases not yet alerted + alerted cases / k).
+Binomial splits then place the new cases: under FROM_INFECTION
+Binomial(total, efficiency * level(d)) are alerted at creation; under
+AT_DETECTION each source day's offspring are split by the uploaders'
+share of its rate and then by efficiency, and the app users among the
+uploaders' offspring are alerted on day s+incubation_days.  Only the
+upload of a case's own parent can change its transmission, so each
+cohort's upload coins are drawn when it is created, reading the level of
+its detection day; that has the law of a coin drawn on the detection day.
+
+RNG discipline: replicate seed ``seed`` feeds two generators,
+derive_seed(seed, 0) for the transmission Poisson draws and
+derive_seed(seed, 1) for the binomial coins.  At k=1, at efficiency=0 and
+with activation after the horizon every transmission rate is the same
+whole number of cases times r0/incubation_days, so the transmission
+stream sees the same rates and the series are bit-identical by
+construction, under either policy.
 """
 
 from __future__ import annotations
@@ -48,25 +71,18 @@ from .crypto import derive_seed
 __all__ = [
     "AlertPolicy",
     "SimulationParams",
-    "InfectionRecord",
     "DailySeries",
     "EnsembleSeries",
     "AbortCapExceeded",
     "NoGrowthRoot",
     "activation_level",
-    "daily_offspring_rate",
-    "ReplicateState",
-    "step_day",
     "run_replicate",
-    "simulate_replicate",
     "run_ensemble",
     "expected_daily_incidence",
     "renewal_growth_factor",
     "fit_growth_factor",
     "mean_completed_offspring",
 ]
-
-NOT_SET = -1  # sentinel for "no such day" in int arrays
 
 
 class AlertPolicy(Enum):
@@ -136,24 +152,11 @@ class SimulationParams:
 
 
 @dataclass
-class InfectionRecord:
-    """One infected individual's timeline."""
-
-    id: int
-    infected_on: int
-    infector: int | None
-    is_app_user: bool
-    detected_on: int
-    alerted_on: int | None = None
-
-
-@dataclass
 class DailySeries:
     """New infections per day, day 0 through the horizon."""
 
     new_infected_per_day: np.ndarray
     truncated: bool = False
-    truncated_at: int | None = None
 
     @property
     def cumulative(self) -> np.ndarray:
@@ -200,207 +203,56 @@ def activation_level(day: int, params: SimulationParams) -> float:
     return min(1.0, (day - params.activation_day) / params.ramp_days)
 
 
-def daily_offspring_rate(rec: InfectionRecord, day: int, params: SimulationParams) -> float:
-    """Expected new cases produced by one record on one day."""
-    if day < rec.infected_on:
-        raise ValueError("day precedes the record's infection")
-    if day <= rec.infected_on or day > rec.detected_on:
-        return 0.0
-    rate = params.r0 / params.incubation_days
-    if rec.alerted_on is not None and rec.alerted_on <= day:
-        rate /= params.quarantine_factor
-    return rate
+def _simulate(params: SimulationParams, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One replicate: (new cases per day, offspring credited to each infection day)."""
+    days, horizon = params.incubation_days, params.horizon_days
+    spread = np.random.Generator(np.random.PCG64(derive_seed(seed, 0)))
+    coins = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
+    at_detection = params.alert_policy is AlertPolicy.AT_DETECTION
+    never = days  # alert offset of cases that are never alerted
+    # weight[a, j]: relative rate, a days after infection, of a case whose
+    # alert takes effect j days after infection
+    a, j = np.ogrid[: days + 1, : days + 1]
+    weight = np.where((j <= a) & (j < never), 1.0 / params.quarantine_factor, 1.0)
+    count = np.zeros((horizon + 1, days + 1, 2), np.int64)  # [infection day, j, uploads]
+    series = np.zeros(horizon + 1, np.int64)
+    offspring = np.zeros(horizon + 1, np.int64)
 
+    def create(day: int, total: int, alerted_by_source: np.ndarray) -> None:
+        cohort = np.zeros(days + 1, np.int64)
+        if at_detection:
+            # children of source day s are alerted on s's detection day s+days
+            cohort[np.arange(day - len(alerted_by_source), day) + days - day] = alerted_by_source
+        else:
+            cohort[0] = coins.binomial(total, params.efficiency * activation_level(day, params))
+        cohort[never] = total - cohort.sum()
+        if at_detection:
+            count[day, :, 1] = coins.binomial(cohort, activation_level(day + days, params))
+        count[day, :, 0] = cohort - count[day, :, 1]
+        series[day] = total
 
-class ReplicateState:
-    """Flat-array population of one replicate.
-
-    Records are stored in creation order, so the infectious set on any
-    day is a contiguous slice and per-day sampling is one vectorised
-    Poisson draw.
-    """
-
-    __slots__ = (
-        "params", "infected_on", "infector", "is_app_user", "alerted_on",
-        "offspring", "count", "day_start", "series", "_first_active",
-    )
-
-    def __init__(self, params: SimulationParams, rng: np.random.Generator) -> None:
-        self.params = params
-        size = max(1024, params.initial_infected)
-        self.infected_on = np.zeros(size, np.int32)
-        self.infector = np.full(size, NOT_SET, np.int64)
-        self.is_app_user = np.zeros(size, bool)
-        self.alerted_on = np.full(size, NOT_SET, np.int32)
-        self.offspring = np.zeros(size, np.int64)
-        self.count = 0
-        self._first_active = 0
-        # day_start[d] = index of the first record created on day d
-        self.day_start = np.zeros(params.horizon_days + 2, np.int64)
-        self.series = np.zeros(params.horizon_days + 1, np.int64)
-        self._append_cohort(0, params.initial_infected, NOT_SET, rng)
-        self.series[0] = params.initial_infected
-
-    def _grow(self, need: int) -> None:
-        size = self.infected_on.shape[0]
-        if self.count + need <= size:
-            return
-        while self.count + need > size:
-            size *= 2
-        for name in ("infected_on", "infector", "is_app_user", "alerted_on", "offspring"):
-            old = getattr(self, name)
-            fresh = np.full(size, NOT_SET, old.dtype) if name in ("infector", "alerted_on") \
-                else np.zeros(size, old.dtype)
-            fresh[: self.count] = old[: self.count]
-            setattr(self, name, fresh)
-
-    def _append_cohort(self, day: int, total: int, infectors, rng: np.random.Generator) -> None:
-        """Create `total` records infected on `day`, consuming one app-user
-        and (under FROM_INFECTION) one alert uniform per record regardless
-        of outcomes."""
-        if total == 0:
-            return
-        self._grow(total)
-        lo, hi = self.count, self.count + total
-        self.infected_on[lo:hi] = day
-        self.infector[lo:hi] = infectors
-        app = rng.random(total) < self.params.efficiency
-        self.is_app_user[lo:hi] = app
-        self.alerted_on[lo:hi] = NOT_SET
-        self.offspring[lo:hi] = 0
-        if self.params.alert_policy is AlertPolicy.FROM_INFECTION:
-            alerted = rng.random(total) < activation_level(day, self.params)
-            self.alerted_on[lo:hi] = np.where(app & alerted, day, NOT_SET)
-        self.count = hi
-        self.day_start[day + 1 :] = hi
-
-    def active_slice(self, day: int) -> tuple[int, int]:
-        """Index range of records infectious on `day` (creation order)."""
-        earliest = day - self.params.incubation_days
-        while (
-            self._first_active < self.count
-            and self.infected_on[self._first_active] < earliest
-        ):
-            self._first_active += 1
-        return self._first_active, int(self.day_start[min(day, len(self.day_start) - 1)])
-
-    def record(self, index: int) -> InfectionRecord:
-        infector = int(self.infector[index])
-        alerted = int(self.alerted_on[index])
-        return InfectionRecord(
-            id=index,
-            infected_on=int(self.infected_on[index]),
-            infector=None if infector == NOT_SET else infector,
-            is_app_user=bool(self.is_app_user[index]),
-            alerted_on=None if alerted == NOT_SET else alerted,
-            detected_on=int(self.infected_on[index]) + self.params.incubation_days,
-        )
-
-    def records(self) -> list[InfectionRecord]:
-        return [self.record(i) for i in range(self.count)]
-
-    def to_series(self, through_day: int | None = None, truncated: bool = False) -> DailySeries:
-        if through_day is None:
-            return DailySeries(self.series.copy(), truncated=truncated)
-        return DailySeries(
-            self.series[: through_day + 1].copy(),
-            truncated=truncated,
-            truncated_at=through_day,
-        )
-
-
-def _alert_children_of(state: ReplicateState, day: int, dlo: int, dhi: int,
-                       uploaded: np.ndarray, start: int) -> None:
-    """Alert app-user records in [start, count) whose infector uploaded today."""
-    parent = state.infector[start : state.count]
-    candidates = np.nonzero((parent >= dlo) & (parent < dhi))[0] + start
-    if candidates.size == 0:
-        return
-    keep = (
-        uploaded[state.infector[candidates] - dlo]
-        & state.is_app_user[candidates]
-        & (state.alerted_on[candidates] == NOT_SET)
-    )
-    state.alerted_on[candidates[keep]] = day
-
-
-def _apply_detection_uploads(
-    state: ReplicateState, day: int, rng: np.random.Generator
-) -> tuple[int, int, np.ndarray] | None:
-    """AT_DETECTION policy: records detected today roll an upload coin; on
-    success their app-user offspring and app-user infector become alerted."""
-    params = state.params
-    born = day - params.incubation_days
-    if born < 0:
-        return None
-    dlo = int(state.day_start[born])
-    dhi = int(state.day_start[born + 1])
-    n_det = dhi - dlo
-    if n_det == 0:
-        return None
-    # one uniform per detecting record, consumed whatever the level is
-    uploaded = rng.random(n_det) < activation_level(day, params)
-    if not uploaded.any():
-        return None
-    # offspring created on earlier days; today's cohort is handled after it exists
-    _alert_children_of(state, day, dlo, dhi, uploaded, start=dhi)
-    # the infector of each uploading record, when it is an app user
-    ups = state.infector[dlo:dhi][uploaded]
-    ups = ups[ups != NOT_SET]
-    if ups.size:
-        sel = state.is_app_user[ups] & (state.alerted_on[ups] == NOT_SET)
-        state.alerted_on[ups[sel]] = day
-    return dlo, dhi, uploaded
-
-
-def step_day(
-    state: ReplicateState,
-    day: int,
-    params: SimulationParams,
-    rng: np.random.Generator,
-) -> int:
-    """Advance one day; returns how many new infections were created."""
-    uploads = None
-    if params.alert_policy is AlertPolicy.AT_DETECTION:
-        uploads = _apply_detection_uploads(state, day, rng)
-    lo, hi = state.active_slice(day)
-    active = hi - lo
-    if active > params.max_active:
-        raise AbortCapExceeded(day, active, state.to_series(day - 1, truncated=True))
-    if active == 0:
-        state.series[day] = 0
-        state.day_start[day + 1 :] = state.count
-        return 0
-    rates = np.full(active, params.r0 / params.incubation_days)
-    alerted = state.alerted_on[lo:hi]
-    rates[(alerted != NOT_SET) & (alerted <= day)] /= params.quarantine_factor
-    drawn = rng.poisson(rates)
-    state.offspring[lo:hi] += drawn
-    total = int(drawn.sum())
-    state.series[day] = total
-    infectors = np.repeat(np.arange(lo, hi, dtype=np.int64), drawn)
-    born_at = state.count
-    state._append_cohort(day, total, infectors, rng)
-    if total == 0:
-        state.day_start[day + 1 :] = state.count
-    elif uploads is not None:
-        dlo, dhi, uploaded = uploads
-        _alert_children_of(state, day, dlo, dhi, uploaded, start=born_at)
-    return total
-
-
-def simulate_replicate(params: SimulationParams, seed: int) -> ReplicateState:
-    """Run one full replicate and return its record arrays."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    state = ReplicateState(params, rng)
-    for day in range(1, params.horizon_days + 1):
-        step_day(state, day, params, rng)
-    return state
+    create(0, params.initial_infected, np.zeros(0, np.int64))
+    for day in range(1, horizon + 1):
+        lo = max(0, day - days)
+        active = int(series[lo:day].sum())
+        if active > params.max_active:
+            raise AbortCapExceeded(day, active, DailySeries(series[:day].copy(), truncated=True))
+        # weighted cases per source day and upload flag: whole numbers when k == 1
+        weighted = np.einsum("sj,sju->su", weight[day - lo : 0 : -1], count[lo:day])
+        rates = weighted.sum(axis=1)
+        born = spread.poisson(params.r0 / days * rates)
+        offspring[lo:day] += born
+        alerted = np.zeros(0, np.int64)
+        if at_detection:
+            share = np.divide(weighted[:, 1], rates, out=np.zeros_like(rates), where=rates > 0)
+            alerted = coins.binomial(coins.binomial(born, share), params.efficiency)
+        create(day, int(born.sum()), alerted)
+    return series, offspring
 
 
 def run_replicate(params: SimulationParams, seed: int) -> DailySeries:
     """One replicate's daily series; bit-identical for identical inputs."""
-    return simulate_replicate(params, seed).to_series()
+    return DailySeries(_simulate(params, seed)[0])
 
 
 def run_ensemble(params: SimulationParams, base_seed: int) -> EnsembleSeries:
@@ -509,19 +361,18 @@ def mean_completed_offspring(
     """Mean total offspring of cohorts infected strictly after `after_day`
     whose full infectious window fits inside the horizon.
 
-    Brute-force counter over fresh replicates; the observable behind the
-    post-ramp offspring checks (expected value
-    efficiency*r0/k + (1-efficiency)*r0 once the ramp saturates).
+    Reads the offspring each fresh replicate credits to its infection
+    days; the observable behind the post-ramp offspring checks (expected
+    value efficiency*r0/k + (1-efficiency)*r0 once the ramp saturates).
     """
-    latest = params.horizon_days - params.incubation_days
+    born = np.arange(params.horizon_days + 1)
+    cohorts = (born > after_day) & (born <= params.horizon_days - params.incubation_days)
     total = 0
     count = 0
     for r in range(replicates):
-        state = simulate_replicate(params, derive_seed(base_seed, r))
-        born = state.infected_on[: state.count]
-        mask = (born > after_day) & (born <= latest)
-        total += int(state.offspring[: state.count][mask].sum())
-        count += int(mask.sum())
+        series, offspring = _simulate(params, derive_seed(base_seed, r))
+        total += int(offspring[cohorts].sum())
+        count += int(series[cohorts].sum())
     if count == 0:
         raise ValueError("cohort window is empty at these parameters")
     return total / count, count

@@ -228,7 +228,6 @@ class World:
                 )
         self.trace = trace
         self.t = 0.0
-        self.tick_index = 0
         self.events: list[dict] = []
 
         self.issuer = KeyIssuer(secret=keyed_digest(seed, "issuer-secret"))
@@ -531,7 +530,6 @@ class World:
         self._detect_and_alert()
         self._purge_ledgers()
         self.t += self.config.tick_seconds
-        self.tick_index += 1
 
     def run(self) -> None:
         """Tick through the configured horizon, then flush open encounters."""

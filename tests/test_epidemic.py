@@ -9,18 +9,16 @@ from proximity_sim.crypto import derive_seed
 from proximity_sim.epidemic import (
     AbortCapExceeded,
     AlertPolicy,
-    InfectionRecord,
     NoGrowthRoot,
     SimulationParams,
+    _simulate,
     activation_level,
-    daily_offspring_rate,
     expected_daily_incidence,
     fit_growth_factor,
     mean_completed_offspring,
     renewal_growth_factor,
     run_ensemble,
     run_replicate,
-    simulate_replicate,
 )
 
 HEADLINE = SimulationParams()  # headline defaults: r0=3, 14 days, k=10, ramp 30+10
@@ -32,6 +30,17 @@ GROWTH_ROOT_3_14 = 1.1970006094624788
 
 def renewal_residual(g: float, r0: float, incubation: int) -> float:
     return (r0 / incubation) * sum(g ** (-a) for a in range(1, incubation + 1)) - 1.0
+
+
+def conditional_z(params: SimulationParams, seed: int, rate: float) -> np.ndarray:
+    """z of each day's new cases against their exact law given the days
+    before, for runs in which every case transmits at `rate` per day on
+    days s+1..s+incubation_days: Poisson(rate * cases infectious that day)."""
+    series = run_replicate(params, seed).new_infected_per_day
+    days = params.incubation_days
+    lam = np.array([rate * series[max(0, d - days) : d].sum()
+                    for d in range(1, len(series))])
+    return (series[1:] - lam) / np.sqrt(lam)
 
 
 class TestActivationLevel:
@@ -60,51 +69,27 @@ class TestActivationLevel:
 
 
 class TestDailyOffspringRate:
+    """A case infected on day s transmits r0/incubation_days a day (over k
+    when alerted) on days s+1..s+incubation_days and never after."""
+
+    NO_APP = SimulationParams(efficiency=0.0, initial_infected=10_000, horizon_days=28)
+
     def test_base_rate_within_incubation(self):
-        rec = InfectionRecord(id=0, infected_on=0, infector=None,
-                              is_app_user=False, detected_on=14)
-        assert daily_offspring_rate(rec, 7, HEADLINE) == pytest.approx(3 / 14)
-        assert daily_offspring_rate(rec, 14, HEADLINE) == pytest.approx(3 / 14)
+        # days 1..14: every case ever created is still infectious
+        z = conditional_z(self.NO_APP, 7, 3 / 14)
+        assert np.abs(z[:14]).max() < 5
 
     def test_zero_after_detection(self):
-        rec = InfectionRecord(id=0, infected_on=0, infector=None,
-                              is_app_user=False, detected_on=14)
-        assert daily_offspring_rate(rec, 15, HEADLINE) == 0.0
-
-    def test_zero_on_infection_day(self):
-        rec = InfectionRecord(id=0, infected_on=5, infector=None,
-                              is_app_user=False, detected_on=19)
-        assert daily_offspring_rate(rec, 5, HEADLINE) == 0.0
+        # from day 15 on the founders and then each later cohort drop out
+        z = conditional_z(self.NO_APP, 7, 3 / 14)
+        assert np.abs(z[14:]).max() < 5
 
     def test_alerted_rate_divided_by_k(self):
-        rec = InfectionRecord(id=0, infected_on=0, infector=None,
-                              is_app_user=True, alerted_on=0, detected_on=14)
-        assert daily_offspring_rate(rec, 3, HEADLINE) == pytest.approx(3 / 140)
-
-    def test_alert_only_counts_from_its_day(self):
-        rec = InfectionRecord(id=0, infected_on=0, infector=None,
-                              is_app_user=True, alerted_on=10, detected_on=14)
-        assert daily_offspring_rate(rec, 9, HEADLINE) == pytest.approx(3 / 14)
-        assert daily_offspring_rate(rec, 10, HEADLINE) == pytest.approx(3 / 140)
-
-    def test_day_before_infection_rejected(self):
-        rec = InfectionRecord(id=0, infected_on=5, infector=None,
-                              is_app_user=False, detected_on=19)
-        with pytest.raises(ValueError):
-            daily_offspring_rate(rec, 4, HEADLINE)
-
-    def test_vector_path_matches_scalar_contract(self):
-        state = simulate_replicate(SimulationParams(horizon_days=25, efficiency=0.5,
-                                                    activation_day=5, ramp_days=5), 7)
-        params = state.params
-        day = 20
-        lo, hi = state.active_slice(day)
-        for index in range(lo, min(hi, lo + 50)):
-            rec = state.record(index)
-            expected = daily_offspring_rate(rec, day, params)
-            base = params.r0 / params.incubation_days
-            alerted = rec.alerted_on is not None and rec.alerted_on <= day
-            assert expected == pytest.approx(base / params.quarantine_factor if alerted else base)
+        # full adoption and a switched-on app alert every case at creation
+        params = SimulationParams(activation_day=0, ramp_days=0, initial_infected=1_000_000,
+                                  horizon_days=30)
+        z = conditional_z(params, 7, 3 / 140)
+        assert np.abs(z).max() < 5
 
 
 class TestRenewalGrowthFactor:
@@ -156,35 +141,17 @@ class TestReplicates:
         baseline = run_replicate(HEADLINE.without_app(), seed)
         k_one = run_replicate(SimulationParams(quarantine_factor=1.0), seed)
         silent = run_replicate(SimulationParams(activation_day=61), seed)
-        assert np.array_equal(baseline.new_infected_per_day, k_one.new_infected_per_day)
-        assert np.array_equal(baseline.new_infected_per_day, silent.new_infected_per_day)
+        k_one_at_detection = run_replicate(
+            SimulationParams(quarantine_factor=1.0, alert_policy=AlertPolicy.AT_DETECTION), seed)
+        for twin in (k_one, silent, k_one_at_detection):
+            assert np.array_equal(baseline.new_infected_per_day, twin.new_infected_per_day)
 
     def test_conservation(self):
-        state = simulate_replicate(SimulationParams(horizon_days=30), 13)
-        assert state.series.sum() == state.count
-
-    def test_causality(self):
-        state = simulate_replicate(SimulationParams(horizon_days=35, efficiency=0.5), 3)
-        incubation = state.params.incubation_days
-        for rec in state.records():
-            if rec.infector is None:
-                assert rec.infected_on == 0
-                continue
-            parent = state.record(rec.infector)
-            assert rec.infected_on > parent.infected_on
-            assert rec.infected_on <= parent.detected_on
-            assert rec.detected_on == rec.infected_on + incubation
-            if rec.alerted_on is not None:
-                assert rec.alerted_on >= rec.infected_on
-                assert rec.is_app_user
-
-    def test_offspring_counter_matches_infector_links(self):
-        state = simulate_replicate(SimulationParams(horizon_days=25), 17)
-        recounted = np.zeros(state.count, np.int64)
-        for rec in state.records():
-            if rec.infector is not None:
-                recounted[rec.infector] += 1
-        assert np.array_equal(recounted, state.offspring[: state.count])
+        # every case after day 0 is credited as offspring to one infection day
+        for policy in AlertPolicy:
+            series, offspring = _simulate(
+                SimulationParams(horizon_days=30, efficiency=0.5, alert_policy=policy), 13)
+            assert offspring.sum() == series[1:].sum() > 0
 
     def test_abort_cap(self):
         params = SimulationParams(max_active=50, horizon_days=60)
@@ -194,19 +161,20 @@ class TestReplicates:
         assert len(info.value.series) == info.value.day
 
     def test_at_detection_policy_alerts_after_detection_only(self):
-        params = SimulationParams(alert_policy=AlertPolicy.AT_DETECTION,
-                                  horizon_days=50, efficiency=0.7)
-        state = simulate_replicate(params, 11)
-        saw_alert = False
-        for rec in state.records():
-            if rec.alerted_on is None:
-                continue
-            saw_alert = True
-            assert rec.is_app_user
-            # the alert day is some record's detection day at/after activation
-            assert rec.alerted_on >= params.activation_day
-            assert rec.alerted_on >= rec.infected_on
-        assert saw_alert
+        # Every detected case rolls the upload coin at the level of its
+        # detection day, and an upload alerts the app-user children from
+        # that day on.  The exact ensemble mean (the engine with each draw
+        # replaced by its expectation) gives mean[50]/mean[40] = 4.64237;
+        # an alert one day late gives 4.929, an uploader that must be an
+        # app user 5.245 and an upload coin read on the infection day 5.705.
+        params = SimulationParams(alert_policy=AlertPolicy.AT_DETECTION, horizon_days=50,
+                                  efficiency=0.6, replicates=200)
+        ensemble = run_ensemble(params, 42)
+        late = ensemble.daily[:, 50].astype(float)
+        early = ensemble.daily[:, 40].astype(float)
+        ratio = late.mean() / early.mean()
+        se = (late - ratio * early).std(ddof=1) / (np.sqrt(len(late)) * early.mean())  # delta method
+        assert abs(ratio - 4.64237) <= 3 * se
 
     def test_at_detection_slows_the_outbreak(self):
         fast = run_ensemble(SimulationParams(alert_policy=AlertPolicy.AT_DETECTION,

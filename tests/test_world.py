@@ -413,6 +413,29 @@ class TestWaitlistInWorld:
         last_notify = [e for e in world.events if e["type"] == "notify"][-1]
         assert last_notify["origin_tag"] == tag
 
+    def test_waitlists_expire_on_later_dispatches(self):
+        world = small_world(
+            None,
+            seed=31,
+            agent_count=24,
+            box_size=30.0,
+            infection_prob_per_second=0.01,
+            tracking_threshold=2.5,
+            infection_range=2.5,
+            incubation_seconds=300.0,
+            horizon_seconds=1500.0,
+            initial_infected=2,
+            dispatch_capacity=1,
+        )
+        world.run()
+        ttl = world.config.incubation_seconds
+        uploads = [e for e in world.events if e["type"] == "upload"]
+        last = uploads[-1]["t"]
+        # some overflow was stale by the last dispatch, so a purge was due
+        assert any(e["n_waitlisted"] and last - e["t"] > ttl for e in uploads)
+        kept = world.dispatch_server._waitlists.values()
+        assert kept and all(last - bucket.created_at <= ttl for bucket in kept)
+
 
 def test_detected_agents_do_not_move():
     world = small_world(
