@@ -303,7 +303,12 @@ class DispatchServer:
         self, origin_tag: str, additional_capacity: int, now: float = 0.0
     ) -> list[DispatchRecord]:
         """Promote up to `additional_capacity` waitlisted recipients, in
-        stored priority order, notifying each under the original tag."""
+        stored priority order, notifying each under the original tag.
+
+        Lists past their time to live at `now` are dropped first, so a
+        stale tag raises UnknownOrigin like one that never existed.
+        """
+        self.purge_expired_waitlists(now)
         bucket = self._waitlists.get(origin_tag)
         if bucket is None:
             raise UnknownOrigin(f"no waiting list under tag {origin_tag!r}")
@@ -330,7 +335,8 @@ class DispatchServer:
     def purge_expired_waitlists(self, now: float) -> int:
         """Drop waiting lists older than the configured time to live.
 
-        Every dispatch transaction calls this first with its own time.
+        Every dispatch transaction and every release calls this first
+        with its own time, and the world calls it once per tick.
         """
         stale = [
             tag

@@ -185,6 +185,13 @@ def _run_crypto_selftest(args: argparse.Namespace) -> int:
         (pair.public.modulus, pair.public.exponent, pair.secret.exponent)
         == (3233, 17, 2753),
     )
+    check(
+        "CRT decrypt equals c^2753 mod 3233 for every c < 3233",
+        all(
+            crypto.decrypt(pair, crypto.Envelope(c, pair.key_tag)) == pow(c, 2753, 3233)
+            for c in range(3233)
+        ),
+    )
     ok = True
     for index in range(5):
         test_pair = crypto.generate_keypair(crypto.derive_seed(args.seed, index), 32)

@@ -2,9 +2,13 @@
 
 Textbook RSA over Python's arbitrary-precision integers: enough to make
 simulated ledgers opaque to their owners and to drive the key-escrow
-protocol, deliberately without padding or other hardening.  Security is
-not a claim here; the contract that matters is decrypt(encrypt(m)) == m
-for every plaintext below the modulus, deterministically per seed.
+protocol, deliberately without padding or other hardening.  Decryption
+goes through the Chinese Remainder Theorem (two half-size
+exponentiations mod p and mod q, recombined), which gives the same
+integer as c^d mod n at about a third of the cost.  Security is still
+not a claim here: no padding, no blinding and no check against faulty
+half-results.  The contract that matters is decrypt(encrypt(m)) == m for
+every plaintext below the modulus, deterministically per seed.
 
 Also provides the reversible phone-number <-> integer packing used as
 envelope plaintext, and a keyed digest used for one-time activation
@@ -18,6 +22,7 @@ import hmac
 import math
 import random
 from dataclasses import dataclass
+from functools import cache
 
 __all__ = [
     "KeyPair",
@@ -50,6 +55,8 @@ _SMALL_PRIMES = [
     281, 283, 293, 307, 311, 313, 317, 331, 337, 347, 349,
 ]
 
+_SIEVE_BOUND = 1 << 16
+
 
 class KeygenFailure(Exception):
     """No valid public exponent found after bounded retries."""
@@ -81,8 +88,16 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class SecretKey:
+    """Private exponent d plus the CRT form of it: the primes p and q,
+    dp = d mod (p-1), dq = d mod (q-1) and q_inv = q^-1 mod p."""
+
     modulus: int
     exponent: int
+    p: int
+    q: int
+    dp: int
+    dq: int
+    q_inv: int
 
 
 @dataclass(frozen=True)
@@ -107,8 +122,33 @@ class Envelope:
     key_tag: str
 
 
+@cache
+def _sieve_product() -> int:
+    """Product of the primes above _SMALL_PRIMES and below _SIEVE_BOUND.
+
+    Built on first use (a few ms), so importing the package stays cheap.
+    """
+    flags = bytearray([1]) * _SIEVE_BOUND
+    for i in range(2, math.isqrt(_SIEVE_BOUND) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, _SIEVE_BOUND, i)))
+    factors = [i for i in range(_SMALL_PRIMES[-1] + 1, _SIEVE_BOUND) if flags[i]]
+    while len(factors) > 1:  # balanced pairs; a running product is quadratic
+        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0]
+
+
 def _is_probable_prime(n: int, rand: random.Random, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
-    """Miller-Rabin with witnesses drawn from the seeded stream."""
+    """Miller-Rabin with witnesses drawn from the seeded stream.
+
+    A round passes only if a^(n-1) = 1 mod n, hence mod every divisor of
+    n.  So when n shares a factor g with the primes below _SIEVE_BOUND, a
+    witness with a^(n-1) != 1 mod g fails its round without the full
+    modular exponentiation; about half the composites that reach the
+    rounds in a 2048-bit key search end there.  Every round still draws
+    its witness, so the stream, and with it every key, is the same as
+    without the shortcut.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -116,6 +156,7 @@ def _is_probable_prime(n: int, rand: random.Random, rounds: int = MILLER_RABIN_R
             return True
         if n % p == 0:
             return False
+    shared = math.gcd(n, _sieve_product()) if n > _SIEVE_BOUND else 1
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -123,6 +164,8 @@ def _is_probable_prime(n: int, rand: random.Random, rounds: int = MILLER_RABIN_R
         s += 1
     for _ in range(rounds):
         a = rand.randrange(2, n - 1)
+        if shared > 1 and pow(a, n - 1, shared) != 1:
+            return False
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -159,12 +202,10 @@ def generate_keypair(seed: int, bit_length: int) -> KeyPair:
         q = _random_prime(half, rand)
         if p == q:
             continue
-        n = p * q
         lam = math.lcm(p - 1, q - 1)
         for e in (65537, 17):
             if math.gcd(e, lam) == 1:
-                d = pow(e, -1, lam)
-                return KeyPair(PublicKey(n, e), SecretKey(n, d))
+                return _keypair(p, q, e, pow(e, -1, lam))
     raise KeygenFailure(f"no usable exponent after bounded retries (seed={seed})")
 
 
@@ -172,14 +213,29 @@ def keypair_from_primes(p: int, q: int, e: int = 17) -> KeyPair:
     """Build a keypair from fixed primes (textbook phi-based construction).
 
     Used for frozen test vectors, e.g. p=61, q=53, e=17 gives the classic
-    (n=3233, d=2753).
+    (n=3233, d=2753).  The primes must differ: for n = p^2 the phi used
+    here is wrong and most round trips would fail.
     """
-    n = p * q
+    if p == q:
+        raise KeygenFailure(f"p and q must be distinct primes, got p = q = {p}")
     phi = (p - 1) * (q - 1)
     if math.gcd(e, phi) != 1:
         raise KeygenFailure(f"exponent {e} shares a factor with phi")
-    d = pow(e, -1, phi)
-    return KeyPair(PublicKey(n, e), SecretKey(n, d))
+    return _keypair(p, q, e, pow(e, -1, phi))
+
+
+def _keypair(p: int, q: int, e: int, d: int) -> KeyPair:
+    """Assemble a keypair from distinct primes and matching exponents."""
+    secret = SecretKey(
+        modulus=p * q,
+        exponent=d,
+        p=p,
+        q=q,
+        dp=d % (p - 1),
+        dq=d % (q - 1),
+        q_inv=pow(q, -1, p),
+    )
+    return KeyPair(PublicKey(secret.modulus, e), secret)
 
 
 def encrypt(public_key: PublicKey, plaintext: int) -> Envelope:
@@ -195,14 +251,24 @@ def encrypt(public_key: PublicKey, plaintext: int) -> Envelope:
 
 
 def decrypt(pair: KeyPair, envelope: Envelope) -> int:
-    """Invert an envelope produced under this pair's public key."""
+    """Invert an envelope produced under this pair's public key.
+
+    Computes c^d mod n through the Chinese Remainder Theorem (Garner's
+    recombination of c^dp mod p and c^dq mod q).  The result is exact for
+    every c in [0, n), including ciphertexts that share a factor with n.
+    No padding, no blinding and no fault check: not a security claim.
+    """
     if envelope.key_tag != pair.key_tag:
         raise KeyMismatch(
             f"envelope tagged {envelope.key_tag}, key is {pair.key_tag}"
         )
-    if not 0 <= envelope.ciphertext < pair.secret.modulus:
+    secret = pair.secret
+    c = envelope.ciphertext
+    if not 0 <= c < secret.modulus:
         raise ValueError("ciphertext outside the modulus range")
-    return pow(envelope.ciphertext, pair.secret.exponent, pair.secret.modulus)
+    mp = pow(c, secret.dp, secret.p)
+    mq = pow(c, secret.dq, secret.q)
+    return mq + secret.q * ((mp - mq) * secret.q_inv % secret.p)
 
 
 def encode_contact(phone_number: str) -> int:

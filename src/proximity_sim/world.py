@@ -529,6 +529,7 @@ class World:
         self._transmit(contacts)
         self._detect_and_alert()
         self._purge_ledgers()
+        self.dispatch_server.purge_expired_waitlists(self.t)
         self.t += self.config.tick_seconds
 
     def run(self) -> None:

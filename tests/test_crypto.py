@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proximity_sim.crypto import (
+    Envelope,
     KeyMismatch,
     KeygenFailure,
+    MILLER_RABIN_ROUNDS,
     MalformedNumber,
     PlaintextTooLarge,
+    _is_probable_prime,
+    _random_prime,
     decode_contact,
     decrypt,
     derive_seed,
@@ -29,6 +35,33 @@ def slow_modexp(base: int, exponent: int, modulus: int) -> int:
         if bit == "1":
             result = (result * base) % modulus
     return result
+
+
+PRIMES_BELOW_350 = [p for p in range(2, 350) if all(p % f for f in range(2, p))]
+
+
+def plain_miller_rabin(n: int, rand: random.Random) -> bool:
+    """Reference: Miller-Rabin on the same witness stream, with trial
+    division only by the primes below 350 and no sieve shortcut."""
+    if n < 2:
+        return False
+    for p in PRIMES_BELOW_350:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for _ in range(MILLER_RABIN_ROUNDS):
+        x = pow(rand.randrange(2, n - 1), d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -70,10 +103,36 @@ class TestKeygen:
         message = encode_contact("+393331234567")
         assert decrypt(pair, encrypt(pair.public, message)) == message
 
+    @pytest.mark.parametrize("bits", [20, 48, 64, 128])
+    def test_sieve_shortcut_keeps_prime_and_stream(self, bits):
+        # the key search must draw the same primes from the same stream
+        # position as plain Miller-Rabin, or keys would change per seed
+        for seed in range(150):
+            ours, plain = random.Random(seed), random.Random(seed)
+            prime = _random_prime(bits, ours)
+            while True:
+                candidate = plain.getrandbits(bits) | (1 << (bits - 1)) | 1
+                if plain_miller_rabin(candidate, plain):
+                    break
+            assert prime == candidate
+            assert ours.getstate() == plain.getstate()
+
+    def test_sieve_shortcut_on_carmichael_number(self):
+        # 601 * 1201 * 1801: every factor is in the sieve, but a^(n-1) = 1
+        # for every a coprime to n, so each round needs the full test
+        n = 601 * 1201 * 1801
+        for seed in range(200):
+            ours, plain = random.Random(seed), random.Random(seed)
+            assert _is_probable_prime(n, ours) == plain_miller_rabin(n, plain)
+            assert ours.getstate() == plain.getstate()
+
     def test_shared_factor_exponent_rejected(self):
         # phi(7*29) = 168 = 8*21; e=21 shares a factor
         with pytest.raises(KeygenFailure):
             keypair_from_primes(7, 29, e=21)
+        # n = 61**2 is not a product of distinct primes; (p-1)**2 is not its phi
+        with pytest.raises(KeygenFailure):
+            keypair_from_primes(61, 61, e=17)
 
 
 class TestEnvelope:
@@ -117,6 +176,16 @@ class TestEnvelope:
                 assert envelope.ciphertext == slow_modexp(
                     plaintext, pair.public.exponent, pair.public.modulus
                 )
+            # decrypt, including ciphertexts that share a factor with n
+            n, secret = pair.public.modulus, pair.secret
+            randoms = [(c * 2654435761 + seed) % n for c in range(1, 9)]
+            for c in [0, 1, secret.p, secret.q, 2 * secret.q, n - 1, *randoms]:
+                envelope = Envelope(ciphertext=c, key_tag=pair.key_tag)
+                assert decrypt(pair, envelope) == slow_modexp(c, secret.exponent, n)
+        toy = keypair_from_primes(61, 53, e=17)
+        for c in range(3233):
+            envelope = Envelope(ciphertext=c, key_tag=toy.key_tag)
+            assert decrypt(toy, envelope) == slow_modexp(c, 2753, 3233)
 
     def test_contact_ciphertext_differs_from_plaintext(self, test_keypair):
         # sanity, not a security claim: packed contacts are not fixed points

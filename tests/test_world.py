@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proximity_sim.authority import UnknownOrigin
 from proximity_sim.crypto import decode_contact, decrypt, keypair_from_primes
 from proximity_sim.world import (
     EmptyLog,
@@ -396,22 +397,30 @@ class TestWaitlistInWorld:
             tracking_threshold=2.5,
             infection_range=2.5,
             incubation_seconds=600.0,
-            horizon_seconds=1500.0,
+            horizon_seconds=1000.0,
             initial_infected=3,
             dispatch_capacity=1,
         )
         world.run()
+        ttl = world.config.incubation_seconds
         waitlisted = [
             e for e in world.events
             if e["type"] == "dispatch" and e["status"] == "waitlisted"
         ]
         assert waitlisted
         tag = waitlisted[0]["origin_tag"]
+        assert world.t - waitlisted[0]["t"] <= ttl
         released = world.release_waitlist(tag, 1)
         assert released == 1
         assert any(e["type"] == "waitlist_release" for e in world.events)
         last_notify = [e for e in world.events if e["type"] == "notify"][-1]
         assert last_notify["origin_tag"] == tag
+        # a list past its time to live is dropped on release, not promoted
+        stale = next(e for e in waitlisted if e["origin_tag"] != tag)
+        server = world.dispatch_server
+        assert stale["origin_tag"] in server._waitlists
+        with pytest.raises(UnknownOrigin):
+            server.release_waitlist(stale["origin_tag"], 1, now=stale["t"] + ttl + 1.0)
 
     def test_waitlists_expire_on_later_dispatches(self):
         world = small_world(
@@ -433,8 +442,11 @@ class TestWaitlistInWorld:
         last = uploads[-1]["t"]
         # some overflow was stale by the last dispatch, so a purge was due
         assert any(e["n_waitlisted"] and last - e["t"] > ttl for e in uploads)
+        # the per-tick purge keeps every list within the time to live of
+        # the last tick, also after the last dispatch
+        last_tick = world.t - world.config.tick_seconds
         kept = world.dispatch_server._waitlists.values()
-        assert kept and all(last - bucket.created_at <= ttl for bucket in kept)
+        assert kept and all(last_tick - bucket.created_at <= ttl for bucket in kept)
 
 
 def test_detected_agents_do_not_move():
