@@ -173,6 +173,22 @@ class Agent:
     detected_at: float | None = None
 
 
+# the lower agent index, the higher one and the true distance of each pair
+_Contacts = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+# more candidate pairs than this in one tick is a crowd the contact search
+# would take minutes and gigabytes over: fail with a clear error instead
+_MAX_CANDIDATE_PAIRS = 50_000_000
+
+
+def _adjacency_ranks(cells: np.ndarray) -> np.ndarray:
+    """Renumber integer cell columns from 0, keeping neighbouring columns
+    adjacent and collapsing each empty run between them to one column."""
+    values, inverse = np.unique(cells, return_inverse=True)
+    steps = np.minimum(np.diff(values), 2.0)
+    return np.concatenate(([0.0], np.cumsum(steps))).astype(np.int64)[inverse]
+
+
 @dataclass
 class _OpenContact:
     entry: EncounterEntry
@@ -208,6 +224,11 @@ class World:
 
     A single seeded generator drives motion, radio noise, and infection;
     identical (config, seed, trace) inputs replay identical event logs.
+
+    Quarantine is strict for transmission and motion only: a detected agent
+    stops moving and infects no one, but still takes part in the contact
+    search and in sensing, so app users near it keep recording encounters
+    with it.
     """
 
     def __init__(
@@ -228,6 +249,7 @@ class World:
                 )
         self.trace = trace
         self.t = 0.0
+        self.last_tick_t: float | None = None  # the t at which tick() last ran
         self.events: list[dict] = []
 
         self.issuer = KeyIssuer(secret=keyed_digest(seed, "issuer-secret"))
@@ -249,6 +271,7 @@ class World:
             positions = waypoints = None
             speeds = np.zeros(n)
         has_app = self.rng.random(n) < config.app_user_fraction
+        self._has_app = has_app
         seeds = np.sort(self.rng.choice(n, size=config.initial_infected, replace=False))
 
         # short synthetic numbers under small (test-scale) moduli
@@ -319,60 +342,160 @@ class World:
                     agent.position = agent.position + leg * (remaining / gap)
                     remaining = 0.0
 
-    def _contacts(self) -> list[tuple[int, int, float]]:
-        """Pairs in radio range this tick with their true distances."""
+    def _contacts(self) -> _Contacts:
+        """Pairs in radio range this tick, as three arrays: the lower and
+        the higher agent index and the true distance, in (i, j) order."""
+        radio_range = self.config.radio.max_radio_range
         if self.trace is not None:
-            return sorted(
+            live = sorted(
                 (a, b, d)
                 for (a, b, start, end, d) in self.trace
-                if start <= self.t < end and d <= self.config.radio.max_radio_range
+                if start <= self.t < end and d <= radio_range
+            )
+            return (
+                np.array([c[0] for c in live], dtype=np.intp),
+                np.array([c[1] for c in live], dtype=np.intp),
+                np.array([c[2] for c in live], dtype=float),
             )
         positions = np.stack([a.position for a in self.agents])
-        deltas = positions[:, None, :] - positions[None, :, :]
-        dist = np.sqrt((deltas**2).sum(axis=2))
-        i_idx, j_idx = np.nonzero(
-            np.triu(dist <= self.config.radio.max_radio_range, k=1)
-        )
-        return [(int(i), int(j), float(dist[i, j])) for i, j in zip(i_idx, j_idx)]
+        first, second = self._candidate_pairs(positions)
+        deltas = positions[first] - positions[second]
+        dist = np.sqrt((deltas**2).sum(axis=1))
+        near = dist <= radio_range
+        first, second, dist = first[near], second[near], dist[near]
+        order = np.argsort(first * len(positions) + second)
+        return first[order], second[order], dist[order]
 
-    def _sense(self, contacts: list[tuple[int, int, float]]) -> None:
+    def _candidate_pairs(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Index pairs (i < j) of agents in the same or adjacent grid cells.
+
+        A cell list (Allen & Tildesley, Computer Simulation of Liquids,
+        1987, sec. 5.3).  Cells are squares a hair wider than the radio
+        range and np.floor_divide bins exactly, so every pair whose computed
+        distance passes the range test lies in adjacent cells despite
+        rounding.  Each axis is renumbered over its occupied columns, and
+        only occupied cells are indexed, so the work is O(agents + pairs)
+        whatever the size of the box.  Each pair of neighbouring cells is
+        visited once, through the half shell of offsets ahead of a cell.
+        """
+        side = self.config.radio.max_radio_range * (1.0 + 1e-12)
+        cells = np.floor_divide(positions, side)
+        column = _adjacency_ranks(cells[:, 0])
+        row = _adjacency_ranks(cells[:, 1])
+        width = int(row.max()) + 2  # (x, width - 1) is never occupied
+        key = column * width + row
+        by_cell = np.argsort(key, kind="stable")
+        cell_key, start, size = np.unique(
+            key[by_cell], return_index=True, return_counts=True
+        )
+        blocks_a, blocks_b = [np.arange(len(cell_key))], [np.arange(len(cell_key))]
+        for offset in (1, width - 1, width, width + 1):
+            neighbour = np.searchsorted(cell_key, cell_key + offset)
+            found = neighbour < len(cell_key)
+            found[found] = cell_key[neighbour[found]] == cell_key[found] + offset
+            blocks_a.append(np.flatnonzero(found))
+            blocks_b.append(neighbour[found])
+        cell_a, cell_b = np.concatenate(blocks_a), np.concatenate(blocks_b)
+        block_size = size[cell_a] * size[cell_b]
+        total = int(block_size.sum())
+        if total > _MAX_CANDIDATE_PAIRS:
+            cfg = self.config
+            raise ValueError(
+                f"contact search would test {total:,} candidate pairs in one tick, "
+                f"above the limit of {_MAX_CANDIDATE_PAIRS:,}: "
+                f"agent_count={cfg.agent_count}, box_size={cfg.box_size}, "
+                f"max_radio_range={cfg.radio.max_radio_range}; lower the density "
+                "or the radio range"
+            )
+        block = np.repeat(np.arange(len(block_size)), block_size)
+        offset = np.arange(total) - np.repeat(np.cumsum(block_size) - block_size, block_size)
+        row_length = size[cell_b][block]
+        slot_a = start[cell_a][block] + offset // row_length
+        slot_b = start[cell_b][block] + offset % row_length
+        # a cell's slots precede those of the cells ahead of it, so this
+        # keeps each pair once and drops the self-pairs of a cell with itself
+        keep = slot_a < slot_b
+        a, b = by_cell[slot_a[keep]], by_cell[slot_b[keep]]
+        return np.minimum(a, b), np.maximum(a, b)
+
+    def _sense(self, contacts: _Contacts) -> None:
+        """Sample the RSSI both ways across every pair of app users and
+        record each direction whose estimate is inside the tracking
+        threshold.
+
+        The result is exactly that of one scalar rssi_at_distance(d, radio,
+        rng) call per direction, in recorder/peer order (a, b) then (b, a):
+        - nothing else draws from the generator in between, and one
+          batched normal(0, sigma, size=2m) call yields the same numbers
+          and the same generator state as 2m scalar calls;
+        - numpy's log10 and power may differ from the scalar math in the
+          last bits, so the vectorised estimate only drops directions
+          beyond the threshold by a relative margin of 1e-9, far wider
+          than that difference;
+        - each remaining direction recomputes its RSSI and estimate with
+          the scalar functions and decides against the threshold as a
+          scalar loop would, in the original order.
+        """
         cfg = self.config
+        radio = cfg.radio
         dt = cfg.tick_seconds
+        first, second, dist = contacts
+        users = self._has_app[first] & self._has_app[second]
+        first, second, dist = first[users], second[users], dist[users]
+        recorders = np.column_stack([first, second]).ravel()
+        peers = np.column_stack([second, first]).ravel()
+        distances = np.repeat(dist, 2)
+        if radio.noise_sigma > 0:
+            noise = self.rng.normal(0.0, radio.noise_sigma, size=len(distances))
+        else:
+            noise = np.zeros(len(distances))
+        with np.errstate(divide="ignore"):  # a zero distance raises below
+            rough_rssi = (
+                radio.rssi_at_1m
+                - 10.0 * radio.path_loss_exponent * np.log10(distances)
+                + noise
+            )
+        rough = 10.0 ** (
+            (radio.rssi_at_1m - rough_rssi) / (10.0 * radio.path_loss_exponent)
+        )
+        maybe = np.flatnonzero(rough <= cfg.tracking_threshold * (1.0 + 1e-9))
         touched: set[tuple[int, int]] = set()
-        for a, b, true_d in contacts:
-            if self.agents[a].device is None or self.agents[b].device is None:
+        for recorder, peer, true_d, shadowing in zip(
+            recorders[maybe].tolist(),
+            peers[maybe].tolist(),
+            distances[maybe].tolist(),
+            noise[maybe].tolist(),
+        ):
+            rssi = rssi_at_distance(true_d, radio) + shadowing
+            est = estimate_distance(rssi, radio)
+            if est > cfg.tracking_threshold:
                 continue
-            for recorder, peer in ((a, b), (b, a)):
-                rssi = rssi_at_distance(true_d, cfg.radio, self.rng)
-                est = estimate_distance(rssi, cfg.radio)
-                if est > cfg.tracking_threshold:
-                    continue
-                key = (recorder, peer)
-                touched.add(key)
-                open_contact = self._open.get(key)
-                if open_contact is None:
-                    entry = self.agents[recorder].device.record_encounter(
-                        peer_envelope=self._envelope_of[peer],
-                        started_at=self.t,
-                        duration=dt,
-                        mean_rssi=rssi,
-                        estimated_distance=est,
-                    )
-                    self._open[key] = _OpenContact(
-                        entry=entry, ticks=1, rssi_sum=rssi, min_true_distance=true_d
-                    )
-                else:
-                    open_contact.ticks += 1
-                    open_contact.rssi_sum += rssi
-                    open_contact.min_true_distance = min(
-                        open_contact.min_true_distance, true_d
-                    )
-                    entry = open_contact.entry
-                    entry.duration += dt
-                    entry.mean_rssi = open_contact.rssi_sum / open_contact.ticks
-                    entry.estimated_distance = estimate_distance(
-                        entry.mean_rssi, cfg.radio
-                    )
+            key = (recorder, peer)
+            touched.add(key)
+            open_contact = self._open.get(key)
+            if open_contact is None:
+                entry = self.agents[recorder].device.record_encounter(
+                    peer_envelope=self._envelope_of[peer],
+                    started_at=self.t,
+                    duration=dt,
+                    mean_rssi=rssi,
+                    estimated_distance=est,
+                )
+                self._open[key] = _OpenContact(
+                    entry=entry, ticks=1, rssi_sum=rssi, min_true_distance=true_d
+                )
+            else:
+                open_contact.ticks += 1
+                open_contact.rssi_sum += rssi
+                open_contact.min_true_distance = min(
+                    open_contact.min_true_distance, true_d
+                )
+                entry = open_contact.entry
+                entry.duration += dt
+                entry.mean_rssi = open_contact.rssi_sum / open_contact.ticks
+                entry.estimated_distance = estimate_distance(
+                    entry.mean_rssi, radio
+                )
         # a tick without contact closes the encounter
         for key in sorted(set(self._open) - touched):
             self._close_contact(key)
@@ -390,23 +513,23 @@ class World:
             mean_estimated_distance=entry.estimated_distance,
         )
 
-    def _transmit(self, contacts: list[tuple[int, int, float]]) -> None:
+    def _transmit(self, contacts: _Contacts) -> None:
         cfg = self.config
         p_tick = 1.0 - (1.0 - cfg.infection_prob_per_second) ** cfg.tick_seconds
-        infectious = {
-            a.id for a in self.agents if a.health is HealthState.INFECTED
-        }
+        infectious = np.array([a.health is HealthState.INFECTED for a in self.agents])
+        susceptible = np.array([a.health is HealthState.SUSCEPTIBLE for a in self.agents])
+        first, second, dist = contacts
+        exposed = (dist <= cfg.infection_range) & (
+            (infectious[first] & susceptible[second])
+            | (infectious[second] & susceptible[first])
+        )
         pending: list[tuple[int, int, float]] = []
         claimed: set[int] = set()
-        for a, b, true_d in contacts:
-            if true_d > cfg.infection_range:
-                continue
-            source, target = None, None
-            if a in infectious and self.agents[b].health is HealthState.SUSCEPTIBLE:
-                source, target = a, b
-            elif b in infectious and self.agents[a].health is HealthState.SUSCEPTIBLE:
-                source, target = b, a
-            if target is None or target in claimed:
+        for a, b, true_d in zip(
+            first[exposed].tolist(), second[exposed].tolist(), dist[exposed].tolist()
+        ):
+            source, target = (a, b) if infectious[a] else (b, a)
+            if target in claimed:
                 continue
             if self.rng.random() < p_tick:
                 pending.append((source, target, true_d))
@@ -514,21 +637,16 @@ class World:
                 requests.append((recipient_id, request))
         return requests
 
-    def _purge_ledgers(self) -> None:
-        for agent in self.agents:
-            if agent.device is not None:
-                agent.device.purge_expired(self.t)
-
     # -- main loop ------------------------------------------------------------
 
     def tick(self) -> None:
+        self.last_tick_t = self.t
         if self.trace is None:
             self._move()
         contacts = self._contacts()
         self._sense(contacts)
         self._transmit(contacts)
         self._detect_and_alert()
-        self._purge_ledgers()
         self.dispatch_server.purge_expired_waitlists(self.t)
         self.t += self.config.tick_seconds
 
@@ -577,6 +695,18 @@ class World:
             "notifications": sum(1 for e in self.events if e["type"] == "notify"),
         }
 
+    def _ledger(self, device: DeviceState) -> list[EncounterEntry]:
+        """A device's ledger as a purge at the last tick would leave it.
+
+        Devices purge their ledgers only when they read them, on
+        activation and on a notification, so expired entries wait there
+        until then; reads from outside the world drop them here.
+        """
+        if self.last_tick_t is None:
+            return list(device.ledger.entries)
+        cutoff = self.last_tick_t - device.ledger.retention_window
+        return [e for e in device.ledger.entries if e.ended_at >= cutoff]
+
     def device_snapshots(self) -> list[dict]:
         """Per-device state records (the fixture/state-file schema)."""
         snapshots = []
@@ -600,7 +730,7 @@ class World:
                             "mean_rssi": e.mean_rssi,
                             "estimated_distance": e.estimated_distance,
                         }
-                        for e in device.ledger.entries
+                        for e in self._ledger(device)
                     ],
                 }
             )
@@ -613,7 +743,7 @@ def global_ledger_view(world: World) -> dict[str, list[EncounterEntry]]:
     view: dict[str, list[EncounterEntry]] = {}
     for agent in world.agents:
         if agent.device is not None:
-            view[agent.device.user_id] = list(agent.device.ledger.entries)
+            view[agent.device.user_id] = world._ledger(agent.device)
     return view
 
 

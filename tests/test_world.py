@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proximity_sim.authority import UnknownOrigin
+from proximity_sim.cli import run_command
 from proximity_sim.crypto import decode_contact, decrypt, keypair_from_primes
 from proximity_sim.world import (
     EmptyLog,
@@ -467,3 +470,353 @@ def test_detected_agents_do_not_move():
                 else:
                     positions_after_detection[agent.id] = agent.position.copy()
     assert positions_after_detection
+
+
+def contact_tuples(contacts) -> list[tuple[int, int, float]]:
+    first, second, dist = contacts
+    return list(zip(first.tolist(), second.tolist(), dist.tolist()))
+
+
+def dense_contacts(positions: np.ndarray, radio_range: float) -> list:
+    """The n x n contact search the cell list replaced: the reference."""
+    deltas = positions[:, None, :] - positions[None, :, :]
+    dist = np.sqrt((deltas**2).sum(axis=2))
+    i_idx, j_idx = np.nonzero(np.triu(dist <= radio_range, k=1))
+    return [(int(i), int(j), float(dist[i, j])) for i, j in zip(i_idx, j_idx)]
+
+
+def world_at(positions, radio_range: float, box_size: float = 50.0) -> World:
+    positions = np.asarray(positions, dtype=float)
+    world = small_world(
+        None, agent_count=len(positions), box_size=box_size,
+        radio=RadioModel(noise_sigma=0.0, max_radio_range=radio_range),
+    )
+    for agent, position in zip(world.agents, positions):
+        agent.position = position.copy()
+    return world
+
+
+def assert_matches_dense(positions, radio_range: float) -> list:
+    world = world_at(positions, radio_range)
+    expected = dense_contacts(np.asarray(positions, dtype=float), radio_range)
+    assert contact_tuples(world._contacts()) == expected
+    return expected
+
+
+class TestCellList:
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=60.0),
+                st.floats(min_value=0.0, max_value=60.0),
+            ),
+            min_size=2,
+            max_size=80,
+        ),
+        st.floats(min_value=0.1, max_value=80.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_positions(self, positions, radio_range):
+        assert_matches_dense(positions, radio_range)
+
+    def test_pairs_exactly_at_range(self):
+        # 3-4-5 triangles scaled to the range, and an axis-aligned pair
+        positions = [(10.0, 10.0), (16.0, 18.0), (20.0, 10.0), (10.0, 20.0), (4.0, 2.0)]
+        expected = assert_matches_dense(positions, 10.0)
+        assert [d for *_, d in expected].count(10.0) == 4
+
+    def test_rounding_across_two_cell_edges(self):
+        # the true gap is 1 + 2**-53, computed as exactly 1.0: in range,
+        # although floor(x / range) puts the two agents two cells apart
+        positions = [(1.0 - 2.0**-53, 5.0), (2.0, 5.0)]
+        assert assert_matches_dense(positions, 1.0) == [(0, 1, 1.0)]
+
+    def test_agents_on_cell_boundaries(self):
+        grid = [(4.0 * i, 4.0 * j) for i in range(7) for j in range(7)]
+        expected = assert_matches_dense(grid, 4.0)
+        assert len(expected) == 2 * 7 * 6  # axis neighbours only, not diagonals
+
+    def test_coincident_agents(self):
+        positions = [(3.0, 3.0)] * 4 + [(3.0, 9.0), (20.0, 20.0), (20.0, 20.0)]
+        expected = assert_matches_dense(positions, 5.0)
+        assert (0, 3, 0.0) in expected and (5, 6, 0.0) in expected
+
+    def test_range_wider_than_the_box(self):
+        rng = np.random.default_rng(4)
+        expected = assert_matches_dense(rng.random((40, 2)) * 5.0, 10.0)
+        assert len(expected) == 40 * 39 // 2
+
+    def test_huge_box_costs_no_more_than_a_small_one(self):
+        rng = np.random.default_rng(5)
+        scattered = rng.random((100, 2)) * 1e6
+        clusters = np.repeat(rng.random((10, 2)) * 1e6, 10, axis=0)
+        positions = np.concatenate([scattered, clusters + rng.random((100, 2)) * 15.0])
+        world = world_at(positions, 10.0, box_size=1e6)
+        tracemalloc.start()
+        contacts = contact_tuples(world._contacts())
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert contacts == dense_contacts(positions, 10.0)
+        assert contacts  # the clusters hold pairs in range
+        assert peak < 1_000_000  # 10^10 cells of 10 m: no array per cell
+
+    def test_crowd_beyond_the_limit_fails_clearly(self):
+        world = small_world(
+            None, agent_count=20_000, box_size=5.0, app_user_fraction=0.0,
+        )
+        with pytest.raises(ValueError, match="agent_count=20000, box_size=5.0, "
+                           "max_radio_range=10.0"):
+            world.tick()
+
+
+def record_directions(world: World) -> dict:
+    records = {}
+    owner_of = {env.ciphertext: i for i, env in world._envelope_of.items()}
+    for agent in world.agents:
+        if agent.device is None:
+            continue
+        for entry in agent.device.ledger.entries:
+            peer = owner_of[entry.peer_envelope.ciphertext]
+            records[(agent.id, peer)] = (entry.mean_rssi, entry.estimated_distance)
+    return records
+
+
+class TestSensingExactness:
+    @pytest.mark.parametrize("sigma", [0.0, 2.0])
+    def test_batched_sensing_equals_scalar_draws(self, sigma):
+        threshold = 3.0
+        near = [float(np.nextafter(threshold, 0.0)), threshold,
+                float(np.nextafter(threshold, 9.0))]
+        near += [threshold + k * 1e-15 for k in range(-40, 41)]
+        near += [threshold * (1.0 + k * 1e-10) for k in range(-20, 21)]
+        distances = sorted(set(near) | set(np.linspace(0.3, 9.9, 160).tolist()))
+        trace = [(2 * k, 2 * k + 1, 0.0, 10.0, d) for k, d in enumerate(distances)]
+        radio = RadioModel(noise_sigma=sigma)
+        world = small_world(
+            trace, agent_count=2 * len(distances) + 1, app_user_fraction=0.7,
+            infection_range=0.01, tracking_threshold=threshold, radio=radio,
+        )
+        reference = np.random.Generator(np.random.PCG64())
+        reference.bit_generator.state = world.rng.bit_generator.state
+        expected = {}
+        for a, b, _, _, d in trace:
+            if world.agents[a].device is None or world.agents[b].device is None:
+                continue
+            for recorder, peer in ((a, b), (b, a)):
+                rssi = rssi_at_distance(d, radio, reference)
+                est = estimate_distance(rssi, radio)
+                if est <= threshold:
+                    expected[(recorder, peer)] = (rssi, est)
+        world.tick()
+        assert record_directions(world) == expected
+        assert world.rng.bit_generator.state == reference.bit_generator.state
+        if sigma == 0.0:  # within 1e-8 of the threshold, some record and some not
+            edge = {
+                (a, b) in expected
+                for a, b, _, _, d in trace
+                if abs(d - threshold) < 1e-8
+                and world.agents[a].device is not None
+                and world.agents[b].device is not None
+            }
+            assert edge == {True, False}
+
+
+    def test_margin_keeps_what_numpy_overestimates(self):
+        # a threshold equal to a scalar estimate that numpy's log10 and
+        # power put a few ulps higher: the scalar decision still records it
+        distances = np.linspace(0.5, 9.5, 2001)
+        rssi = NOISELESS.rssi_at_1m - 20.0 * np.log10(distances)
+        rough = 10.0 ** ((NOISELESS.rssi_at_1m - rssi) / 20.0)
+        exact = [
+            estimate_distance(rssi_at_distance(d, NOISELESS), NOISELESS)
+            for d in distances.tolist()
+        ]
+        d, threshold = next(
+            (d, e) for d, r, e in zip(distances.tolist(), rough.tolist(), exact) if r > e
+        )
+        world = small_world(static_pair_trace(d, 10.0), tracking_threshold=threshold)
+        world.tick()
+        assert set(record_directions(world)) == {(0, 1), (1, 0)}
+
+
+class PurgingWorld(World):
+    """The per-tick ledger purge the world used to run: the reference."""
+
+    removed = 0
+
+    def tick(self) -> None:
+        now = self.t
+        super().tick()
+        for agent in self.agents:
+            if agent.device is not None:
+                self.removed += agent.device.purge_expired(now)
+
+
+class TestRetentionOnRead:
+    def test_window_shorter_than_a_tick(self):
+        # agents 0-1 last meet in the tick at 370 s, agents 2-3 at 380 s;
+        # the last tick runs at 390 s, so a 5 s window keeps only 2-3
+        trace = [(0, 1, 0.0, 380.0, 2.0), (2, 3, 0.0, 390.0, 2.0)]
+        worlds = []
+        for cls in (World, PurgingWorld):
+            config = quiet_config(
+                agent_count=4, box_size=20.0, infection_prob_per_second=0.0,
+                tick_seconds=10.0, app_user_fraction=1.0, incubation_seconds=5.0,
+                horizon_seconds=400.0, initial_infected=1, radio=NOISELESS,
+            )
+            world = cls(config, seed=1, keypair=KEYPAIR, trace=trace)
+            world.run()
+            worlds.append(world)
+        world, reference = worlds
+        assert world.last_tick_t == 390.0
+        entries = [len(s["entries"]) for s in world.device_snapshots()]
+        assert entries == [0, 0, 1, 1]
+        assert world.device_snapshots() == reference.device_snapshots()
+        assert global_ledger_view(world) == global_ledger_view(reference)
+
+    def test_window_edge_uses_the_last_tick_time(self):
+        # with 0.7 s ticks, t minus one tick is not the t the last tick ran
+        # at, and here the entry ending 4.9 s before that last tick would
+        # survive a cutoff computed from it
+        trace = [(0, 1, 0.0, 2.5, 2.0)]
+        worlds = []
+        for cls in (World, PurgingWorld):
+            config = quiet_config(
+                agent_count=2, box_size=20.0, infection_prob_per_second=0.0,
+                tick_seconds=0.7, app_user_fraction=1.0, incubation_seconds=4.9,
+                horizon_seconds=8.0, initial_infected=1, radio=NOISELESS,
+            )
+            world = cls(config, seed=1, keypair=KEYPAIR, trace=trace)
+            world.run()
+            worlds.append(world)
+        world, reference = worlds
+        assert world.t - world.config.tick_seconds != world.last_tick_t
+        assert [len(s["entries"]) for s in world.device_snapshots()] == [0, 0]
+        assert world.device_snapshots() == reference.device_snapshots()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(agent_count=60, box_size=30.0, tick_seconds=10.0,
+                 incubation_seconds=300.0, horizon_seconds=1200.0,
+                 yellow_enabled=True, dispatch_capacity=3,
+                 radio=RadioModel(noise_sigma=2.0)),
+            dict(agent_count=30, box_size=15.0, tick_seconds=0.7,
+                 incubation_seconds=60.0, horizon_seconds=150.0,
+                 radio=RadioModel(noise_sigma=2.0)),
+        ],
+        ids=["noisy-yellow-capacity", "short-tick"],
+    )
+    def test_filter_on_read_equals_per_tick_purge(self, overrides):
+        config = quiet_config(
+            infection_prob_per_second=0.02, tracking_threshold=3.0,
+            app_user_fraction=0.9, initial_infected=4, **overrides,
+        )
+        world = World(config, seed=7, keypair=KEYPAIR)
+        world.run()
+        reference = PurgingWorld(config, seed=7, keypair=KEYPAIR)
+        reference.run()
+        assert reference.removed > 0  # entries did expire during the run
+        assert world.events == reference.events
+        assert world.device_snapshots() == reference.device_snapshots()
+        assert global_ledger_view(world) == global_ledger_view(reference)
+        # ticking by hand, as a traced replay does, reads the same ledgers
+        stepped = World(config, seed=7, keypair=KEYPAIR)
+        while stepped.t < world.t:
+            stepped.tick()
+        stepped.flush_open_encounters()
+        assert stepped.device_snapshots() == world.device_snapshots()
+
+
+# sha256 of the five files `proximity-sim world` writes, pinned before the
+# cell-list contact search, batched sensing and purge-on-read replaced the
+# dense search, scalar sensing and per-tick purge (Python 3.11.7, numpy
+# 2.4.6); a world refactor that keeps behaviour keeps these digests.
+GOLDEN_WORLDS = {
+    "acceptance-noiseless": (
+        """
+        agent_count = 200
+        box_size = 70.0
+        infection_range = 2.5
+        infection_prob_per_second = 0.015
+        tracking_threshold = 2.5
+        tick_seconds = 10.0
+        app_user_fraction = 0.8
+        incubation_seconds = 600.0
+        horizon_seconds = 1000.0
+        initial_infected = 10
+        key_bits = 32
+        noise_sigma = 0.0
+        """,
+        2026,
+        {
+            "bus_trace.jsonl": "04c3d3dc63a59eed8efa8a866c2becf6a247a7388a6fc1fe85019514e86fc3fa",
+            "devices.jsonl": "a80b6bf6e71d008e8c2f8aef4462ffc82a7107a54cecd6de00cefaea35244257",
+            "dispatch_log.csv": "aa35dbc947ed090155806f731e89391f28a9c4cc622fd2ecd55e67a0e3b3ba31",
+            "events.jsonl": "2950aec181a5d5f5ca652974f88515744a9bc03dd29b2d8df055412a367f7d44",
+            "false_alert_report.txt": "c0bffb92b92620afb724ea3ec3bac8b8463a11bf8bfc62be4b2aabc474643c22",
+        },
+    ),
+    "noisy-yellow-capacity": (
+        """
+        agent_count = 60
+        box_size = 30.0
+        infection_range = 2.5
+        infection_prob_per_second = 0.02
+        tracking_threshold = 3.0
+        tick_seconds = 10.0
+        incubation_seconds = 300.0
+        horizon_seconds = 1200.0
+        initial_infected = 4
+        dispatch_capacity = 3
+        yellow_enabled = true
+        key_bits = 32
+        noise_sigma = 2.0
+        """,
+        7,
+        {
+            "bus_trace.jsonl": "193fbeda1a3cbe4609fcae82765ba33425610dca4061b369301271f5ab00c4f1",
+            "devices.jsonl": "da5ba75acb44658e08d7aeb457ff756f9b4fe9a6a72cd4d5ec3b5afc9deb98d0",
+            "dispatch_log.csv": "cf6eb3615e3d5b01eba5f63042f3ca9cbfc9b018156095870facface0241e676",
+            "events.jsonl": "f8e7a160f908edff2d3c4bebecf525289f5a29da0c30defe277c45aaa635acba",
+            "false_alert_report.txt": "51cf0dde7dc566244b28b37077e94f921e59bd27ffa8ffc6530a59694ccd8ac0",
+        },
+    ),
+    "short-tick": (
+        """
+        agent_count = 30
+        box_size = 15.0
+        infection_prob_per_second = 0.02
+        tick_seconds = 0.7
+        incubation_seconds = 60.0
+        horizon_seconds = 150.0
+        initial_infected = 3
+        key_bits = 32
+        """,
+        3,
+        {
+            "bus_trace.jsonl": "cd43c452dee38e4b7794a939fa70b8a3129a25e2648eb363b8bf90c4ac27635d",
+            "devices.jsonl": "0d1b2fa7d0a575090f2529e62869e382ba54585812eb6f46d9bc6d08bf095b24",
+            "dispatch_log.csv": "62fd6ce0aec7d845ea49753de27e38502b6af35ca8df1072c56038e5417a93c0",
+            "events.jsonl": "60c5f3e6fb65a2bc54b83581a7d1938b4c87042defa279388d6ca93015d8ab9a",
+            "false_alert_report.txt": "245f998a5b7fdc7a8635114550d07973e5f73c14ac8e92e1be61e78711f44a6b",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WORLDS))
+def test_world_outputs_match_golden_digests(name, tmp_path, capsys):
+    text, seed, digests = GOLDEN_WORLDS[name]
+    config = tmp_path / "world.conf"
+    config.write_text(text)
+    out = tmp_path / "out"
+    code = run_command(
+        ["world", "--config", str(config), "--seed", str(seed), "--out", str(out)]
+    )
+    assert code == 0
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+    }
+    assert written == digests
