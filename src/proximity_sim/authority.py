@@ -3,11 +3,12 @@
 Two sequential state machines modelled after a split-responsibility
 deployment: the issuer hands certified doctors single-use activation
 tokens bound to a patient id, and the dispatch server validates those
-tokens, decrypts the uploaded encounter ledger, and fans out anonymous
-notifications in priority order under a capacity threshold.  The
-dispatch server retains no ledger data between transactions; the only
-thing it keeps is the capacity overflow (waiting lists) keyed by an
-anonymous origin tag, with a bounded time to live.
+tokens, ranks the uploaded encounter ledger, and fans out anonymous
+notifications in priority order under a capacity threshold.  The server
+decrypts an envelope only to notify its recipient, so the capacity
+overflow (the waiting list, keyed by an anonymous origin tag, with a
+bounded time to live) stays encrypted until it is released.  Nothing
+else survives a transaction.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .crypto import KeyPair, KeyMismatch, MalformedNumber, decode_contact, decrypt, keyed_digest
+from .crypto import KeyPair, MalformedNumber, decode_contact, decrypt, keyed_digest
 from .messages import (
     RED_DIRECTIONS,
     YELLOW_DIRECTIONS,
@@ -130,16 +131,27 @@ class KeyIssuer:
         return key
 
 
+def _message(level: AlertLevel, origin_tag: str, now: float) -> AlertMessage:
+    return AlertMessage(
+        level=level,
+        directions=RED_DIRECTIONS if level is AlertLevel.RED else YELLOW_DIRECTIONS,
+        issued_at=now,
+        origin_tag=origin_tag,
+    )
+
+
 @dataclass
 class _WaitlistBucket:
-    records: list[DispatchRecord]
+    records: list[DispatchRecord]  # still encrypted, in priority order
     created_at: float
     level: AlertLevel
+    notified: set[bytes]  # keyed digests of the contacts sent under the tag
 
 
 class DispatchServer:
-    """Validates tokens, decrypts uploads, dispatches anonymous alerts.
+    """Validates tokens, ranks uploads, dispatches anonymous alerts.
 
+    Only the envelopes of recipients it notifies are decrypted.
     `notify` is called once per sent record with (recipient_contact,
     AlertMessage); delivery is the caller's business.  Origin tags are
     self-authenticating (sequence number plus keyed digest), so a red
@@ -196,66 +208,107 @@ class DispatchServer:
 
     # -- dispatch -------------------------------------------------------------
 
-    def _decrypt_and_rank(
-        self, scored_contacts: list[ScoredContact]
-    ) -> tuple[list[tuple[str, float]], int]:
-        """Decrypt envelopes, dedupe recipients, keep priority order."""
+    def _rank(self, scored_contacts: list[ScoredContact]) -> tuple[list[ScoredContact], int]:
+        """Priority order with unusable and repeated envelopes dropped.
+
+        Needs no decryption: an envelope under an unknown key or outside
+        [0, n) cannot decrypt and is counted as a failure, and under one
+        key distinct ciphertexts are distinct contacts, so a repeated
+        (key tag, ciphertext) is the same recipient again.
+        """
         ranked = sorted(
             scored_contacts, key=lambda sc: (-sc.score, str(sc.envelope.ciphertext))
         )
         failures = 0
-        seen: set[str] = set()
-        recipients: list[tuple[str, float]] = []
+        seen: set[tuple[str, int]] = set()
+        kept: list[ScoredContact] = []
         for item in ranked:
-            pair = self._keyring.get(item.envelope.key_tag)
-            if pair is None:
+            envelope = item.envelope
+            pair = self._keyring.get(envelope.key_tag)
+            if pair is None or not 0 <= envelope.ciphertext < pair.public.modulus:
                 failures += 1
                 continue
+            key = (envelope.key_tag, envelope.ciphertext)
+            if key in seen:
+                continue
+            seen.add(key)
+            kept.append(item)
+        return kept, failures
+
+    def _send_in_order(
+        self,
+        records: list[DispatchRecord],
+        limit: int | None,
+        notified: set[bytes],
+        message: AlertMessage,
+    ) -> tuple[list[DispatchRecord], int, int]:
+        """Decrypt records in order and notify each new recipient until
+        `limit` are sent.
+
+        A plaintext that is not a packed contact is a failure, and a
+        contact already in `notified` (keyed digests: the same peer under
+        a second key) is skipped.  Returns the sent records, how many
+        records were used up and how many failed.
+        """
+        sent: list[DispatchRecord] = []
+        failures = position = 0
+        while position < len(records) and (limit is None or len(sent) < limit):
+            record = records[position]
+            position += 1
+            envelope = record.envelope
             try:
-                contact = decode_contact(decrypt(pair, item.envelope))
-            except (KeyMismatch, MalformedNumber, ValueError):
+                contact = decode_contact(decrypt(self._keyring[envelope.key_tag], envelope))
+            except MalformedNumber:
                 failures += 1
                 continue
-            if contact in seen:
+            digest = keyed_digest(self._secret, contact)
+            if digest in notified:
                 continue
-            seen.add(contact)
-            recipients.append((contact, item.score))
-        return recipients, failures
+            notified.add(digest)
+            record.recipient_contact = contact
+            record.status = DispatchStatus.SENT
+            self._notify(contact, message)
+            sent.append(record)
+        return sent, position, failures
 
     def _dispatch(
         self,
-        recipients: list[tuple[str, float]],
+        scored_contacts: list[ScoredContact],
         capacity: int | None,
         level: AlertLevel,
         now: float,
-    ) -> tuple[str, list[DispatchRecord]]:
+    ) -> UploadResult:
+        """Send in priority order until `capacity` recipients are notified,
+        then waitlist the rest of the ranking undecrypted.
+
+        A tail entry that would not decode, or that names a recipient
+        already sent under a second key, is therefore counted as
+        waitlisted here and skipped when it is released.  A repeated
+        envelope that would not decode counts as one failure, not one per
+        copy.
+        """
+        ranked, failures = self._rank(scored_contacts)
         self.purge_expired_waitlists(now)
         tag = self._mint_origin_tag(level)
-        directions = RED_DIRECTIONS if level is AlertLevel.RED else YELLOW_DIRECTIONS
-        cut = len(recipients) if capacity is None else capacity
-        records: list[DispatchRecord] = []
-        for position, (contact, score) in enumerate(recipients):
-            status = DispatchStatus.SENT if position < cut else DispatchStatus.WAITLISTED
-            record = DispatchRecord(
-                recipient_contact=contact, level=level, score=score, status=status
+        pending = [
+            DispatchRecord(
+                recipient_contact=None, level=level, score=item.score,
+                status=DispatchStatus.WAITLISTED, envelope=item.envelope,
             )
-            records.append(record)
-            if status is DispatchStatus.SENT:
-                self._notify(
-                    contact,
-                    AlertMessage(
-                        level=level,
-                        directions=directions,
-                        issued_at=now,
-                        origin_tag=tag,
-                    ),
-                )
-        overflow = [r for r in records if r.status is DispatchStatus.WAITLISTED]
+            for item in ranked
+        ]
+        notified: set[bytes] = set()
+        sent, used, undecodable = self._send_in_order(
+            pending, capacity, notified, _message(level, tag, now)
+        )
+        overflow = pending[used:]
         if overflow:
             self._waitlists[tag] = _WaitlistBucket(
-                records=overflow, created_at=now, level=level
+                records=overflow, created_at=now, level=level, notified=notified
             )
-        return tag, records
+        return UploadResult(
+            origin_tag=tag, records=sent + overflow, decrypt_failures=failures + undecodable
+        )
 
     def process_alert_upload(
         self,
@@ -268,16 +321,15 @@ class DispatchServer:
         """Full red dispatch transaction for one uploaded ledger.
 
         Nothing is decrypted unless the activation token is accepted (and
-        thereby consumed).  Top-capacity recipients are notified, the
-        rest are waitlisted under the transaction's anonymous origin tag.
-        Undecryptable entries are skipped and counted.
+        thereby consumed).  Top-capacity recipients are decrypted and
+        notified, the rest are waitlisted, still encrypted, under the
+        transaction's anonymous origin tag.  Undecryptable entries are
+        skipped and counted.
         """
         outcome = self.validate_and_consume(token, user_id)
         if outcome is not ValidationOutcome.ACCEPTED:
             raise RejectedUpload(f"activation token rejected: {outcome.value}")
-        recipients, failures = self._decrypt_and_rank(scored_contacts)
-        tag, records = self._dispatch(recipients, capacity, AlertLevel.RED, now)
-        return UploadResult(origin_tag=tag, records=records, decrypt_failures=failures)
+        return self._dispatch(scored_contacts, capacity, AlertLevel.RED, now)
 
     def process_yellow_dispatch(
         self,
@@ -293,18 +345,19 @@ class DispatchServer:
         """
         if not self._is_authentic_red_tag(red_origin_tag):
             raise UnknownOrigin(f"tag {red_origin_tag!r} is not an authentic red dispatch")
-        recipients, failures = self._decrypt_and_rank(scored_contacts)
-        tag, records = self._dispatch(recipients, capacity, AlertLevel.YELLOW, now)
-        return UploadResult(origin_tag=tag, records=records, decrypt_failures=failures)
+        return self._dispatch(scored_contacts, capacity, AlertLevel.YELLOW, now)
 
     # -- waiting lists ----------------------------------------------------------
 
     def release_waitlist(
         self, origin_tag: str, additional_capacity: int, now: float = 0.0
     ) -> list[DispatchRecord]:
-        """Promote up to `additional_capacity` waitlisted recipients, in
-        stored priority order, notifying each under the original tag.
+        """Notify up to `additional_capacity` more waitlisted recipients, in
+        stored priority order, under the original tag.
 
+        Records are decrypted only here, one at a time; a record that does
+        not decode, or whose recipient was already notified under the tag,
+        is dropped without a notification and does not use capacity.
         Lists past their time to live at `now` are dropped first, so a
         stale tag raises UnknownOrigin like one that never existed.
         """
@@ -312,22 +365,13 @@ class DispatchServer:
         bucket = self._waitlists.get(origin_tag)
         if bucket is None:
             raise UnknownOrigin(f"no waiting list under tag {origin_tag!r}")
-        promoted = bucket.records[:additional_capacity]
-        bucket.records = bucket.records[additional_capacity:]
-        directions = (
-            RED_DIRECTIONS if bucket.level is AlertLevel.RED else YELLOW_DIRECTIONS
+        promoted, used, _ = self._send_in_order(
+            bucket.records,
+            additional_capacity,
+            bucket.notified,
+            _message(bucket.level, origin_tag, now),
         )
-        for record in promoted:
-            record.status = DispatchStatus.SENT
-            self._notify(
-                record.recipient_contact,
-                AlertMessage(
-                    level=bucket.level,
-                    directions=directions,
-                    issued_at=now,
-                    origin_tag=origin_tag,
-                ),
-            )
+        del bucket.records[:used]
         if not bucket.records:
             del self._waitlists[origin_tag]
         return promoted
@@ -350,8 +394,9 @@ class DispatchServer:
     def idle_state(self) -> dict[str, int]:
         """Contact-bearing data retained between transactions.
 
-        Only capacity overflow survives a transaction; with no waiting
-        lists pending every count here is zero.
+        Only capacity overflow survives a transaction, as envelopes the
+        server has not decrypted; with no waiting lists pending every
+        count here is zero.
         """
         return {
             "waitlist_origins": len(self._waitlists),

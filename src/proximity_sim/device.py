@@ -2,10 +2,12 @@
 
 A device spends its life in tracking mode, appending encrypted encounter
 entries to its local ledger and expiring anything older than the
-retention window.  It switches to alert mode only through a one-time
-activation token validated by the dispatch server, at which point the
-scored ledger is uploaded for notification fan-out.  The ledger never
-holds a plaintext contact.
+retention window whenever it reads the ledger, and whenever the ledger
+has doubled since its last purge (amortised O(1) per entry).  It
+switches to alert mode only through a one-time activation token
+validated by the dispatch server, at which point the scored ledger is
+uploaded for notification fan-out.  The ledger never holds a plaintext
+contact.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ from enum import Enum
 from . import authority
 from .crypto import Envelope
 from .messages import AlertLevel, AlertMessage, ScoredContact
+
+# a ledger is purged on append once it holds twice what its last purge
+# left, and never below this many entries
+_MIN_PURGE_LENGTH = 8
 
 __all__ = [
     "DeviceMode",
@@ -118,6 +124,7 @@ class DeviceState:
         self.yellow_enabled = yellow_enabled
         self.tested_positive = False
         self.tracking_threshold = tracking_threshold
+        self._purge_at_length = _MIN_PURGE_LENGTH
 
     def record_encounter(
         self,
@@ -128,7 +135,13 @@ class DeviceState:
         estimated_distance: float,
     ) -> EncounterEntry:
         """Append one encounter entry; repeated contacts stay distinct
-        entries and are only merged at scoring time."""
+        entries and are only merged at scoring time.
+
+        When the ledger has doubled since its last purge it is purged at
+        `started_at`.  Every later read purges at a time no earlier, so it
+        removes a superset of what this purge removes and sees the same
+        ledger it would have seen without it.
+        """
         if estimated_distance > self.tracking_threshold:
             raise OutOfRange(
                 f"estimated {estimated_distance:.2f} m beyond the "
@@ -144,6 +157,8 @@ class DeviceState:
             estimated_distance=estimated_distance,
         )
         self.ledger.entries.append(entry)
+        if len(self.ledger.entries) >= self._purge_at_length:
+            self.purge_expired(started_at)
         return entry
 
     def purge_expired(self, now: float) -> int:
@@ -156,6 +171,7 @@ class DeviceState:
         kept = [e for e in self.ledger.entries if e.ended_at >= cutoff]
         removed = len(self.ledger.entries) - len(kept)
         self.ledger.entries = kept
+        self._purge_at_length = max(2 * len(kept), _MIN_PURGE_LENGTH)
         return removed
 
     def _grouped(self) -> dict[tuple[str, int], list[EncounterEntry]]:

@@ -58,9 +58,14 @@ class DispatchStatus(Enum):
 
 @dataclass
 class DispatchRecord:
-    """Server-side outcome for one decrypted recipient."""
+    """Server-side outcome for one ranked recipient.
 
-    recipient_contact: str
+    A waitlisted record holds only its envelope: the server decrypts it,
+    and fills in `recipient_contact`, when the record is sent.
+    """
+
+    recipient_contact: str | None
     level: AlertLevel
     score: float
     status: DispatchStatus
+    envelope: Envelope

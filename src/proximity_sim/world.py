@@ -253,11 +253,16 @@ class World:
         self.events: list[dict] = []
 
         self.issuer = KeyIssuer(secret=keyed_digest(seed, "issuer-secret"))
+        # the server holds a closure over the outbox, not a bound method,
+        # so no reference cycle keeps a finished world alive until a
+        # full garbage collection
+        self._outbox: list[tuple[str, AlertMessage]] = []
+        outbox = self._outbox
         self.dispatch_server = DispatchServer(
             keyring={self.keypair.key_tag: self.keypair},
             issuer=self.issuer,
             secret=keyed_digest(seed, "dispatch-secret"),
-            notify=self._collect_notification,
+            notify=lambda contact, message: outbox.append((contact, message)),
             waitlist_ttl=config.incubation_seconds,
         )
         self.doctor = DoctorCredential(doctor_id="doctor-0001", certified=True)
@@ -282,6 +287,8 @@ class World:
         self.agents: list[Agent] = []
         self._contact_to_agent: dict[str, int] = {}
         self._envelope_of: dict[int, Envelope] = {}
+        # ground truth for the dispatch log; the server never sees it
+        self._agent_of_ciphertext: dict[int, int] = {}
         for i in range(n):
             device = None
             if has_app[i]:
@@ -297,6 +304,7 @@ class World:
                 self._envelope_of[i] = encrypt(
                     self.keypair.public, encode_contact(contact)
                 )
+                self._agent_of_ciphertext[self._envelope_of[i].ciphertext] = i
             self.agents.append(
                 Agent(
                     id=i,
@@ -311,16 +319,12 @@ class World:
             self.agents[int(i)].infected_at = 0.0
 
         self._open: dict[tuple[int, int], _OpenContact] = {}
-        self._outbox: list[tuple[str, AlertMessage]] = []
         self._uploads_by_tag: dict[str, int] = {}
 
     # -- event plumbing -----------------------------------------------------
 
     def _log(self, **event) -> None:
         self.events.append(event)
-
-    def _collect_notification(self, contact: str, message: AlertMessage) -> None:
-        self._outbox.append((contact, message))
 
     # -- per-tick phases ----------------------------------------------------
 
@@ -608,7 +612,7 @@ class World:
                 type="dispatch",
                 t=self.t,
                 uploader=uploader_id,
-                recipient=self._contact_to_agent[record.recipient_contact],
+                recipient=self._agent_of_ciphertext[record.envelope.ciphertext],
                 level=record.level.value,
                 score=record.score,
                 status=record.status.value,
@@ -618,7 +622,8 @@ class World:
 
     def _deliver_outbox(self) -> list[tuple[int, YellowDispatchRequest]]:
         requests: list[tuple[int, YellowDispatchRequest]] = []
-        pending, self._outbox = self._outbox, []
+        pending = self._outbox[:]
+        self._outbox.clear()
         for contact, message in pending:
             recipient_id = self._contact_to_agent[contact]
             uploader_id = self._uploads_by_tag.get(message.origin_tag)

@@ -39,6 +39,10 @@ def scored(test_keypair, contact: str, score: float) -> ScoredContact:
     )
 
 
+def opened(test_keypair, records) -> list[str]:
+    return [crypto.decode_contact(crypto.decrypt(test_keypair, r.envelope)) for r in records]
+
+
 class TestIssuance:
     def test_certified_doctor_gets_fresh_key(self, stack):
         issuer, _, _ = stack
@@ -109,7 +113,9 @@ class TestAlertUpload:
     def test_capacity_split(self, stack, test_keypair):
         result, notifications = self.upload(stack, test_keypair, capacity=2)
         assert [r.recipient_contact for r in result.sent] == ["+20001", "+20002"]
-        assert [r.recipient_contact for r in result.waitlisted] == ["+20003", "+20004"]
+        # the overflow stays encrypted: same recipients, no plaintext held
+        assert [r.recipient_contact for r in result.waitlisted] == [None, None]
+        assert opened(test_keypair, result.waitlisted) == ["+20003", "+20004"]
         assert [c for c, _ in notifications] == ["+20001", "+20002"]
         assert all(m.level is AlertLevel.RED for _, m in notifications)
 
@@ -118,33 +124,21 @@ class TestAlertUpload:
         assert len(result.sent) == 4 and not result.waitlisted
         assert len(notifications) == 4
 
-    def test_invalid_token_decrypts_nothing(self, stack, test_keypair, monkeypatch):
+    def test_invalid_token_decrypts_nothing(self, stack, test_keypair, decrypts):
         _, server, notifications = stack
-        calls = []
-        original = crypto.decrypt
-        monkeypatch.setattr(
-            "proximity_sim.authority.decrypt",
-            lambda pair, env: calls.append(1) or original(pair, env),
-        )
         with pytest.raises(RejectedUpload):
             server.process_alert_upload(
                 "f" * 64, "user-0001", [scored(test_keypair, "+20001", 5.0)], None, 0.0
             )
-        assert not calls and not notifications
+        assert not decrypts and not notifications
 
-    def test_decryption_implies_consumption(self, stack, test_keypair, monkeypatch):
+    def test_decryption_implies_consumption(self, stack, test_keypair, decrypts):
         issuer, server, _ = stack
-        calls = []
-        original = crypto.decrypt
-        monkeypatch.setattr(
-            "proximity_sim.authority.decrypt",
-            lambda pair, env: calls.append(1) or original(pair, env),
-        )
         key = issuer.issue_activation_key(DOCTOR, "user-0001")
         server.process_alert_upload(
             key.token, "user-0001", [scored(test_keypair, "+20001", 5.0)], None, 0.0
         )
-        assert calls and key.consumed
+        assert decrypts and key.consumed
 
     def test_undecryptable_entries_skipped_and_counted(self, stack, test_keypair):
         issuer, server, _ = stack
@@ -197,7 +191,8 @@ class TestAlertUpload:
         ]
         result = server.process_alert_upload(key.token, "user-0001", shuffled, 1, 0.0)
         assert [r.recipient_contact for r in result.sent] == ["+20001"]
-        assert [r.recipient_contact for r in result.waitlisted] == ["+20002", "+20003"]
+        assert [r.recipient_contact for r in result.waitlisted] == [None, None]
+        assert opened(test_keypair, result.waitlisted) == ["+20002", "+20003"]
 
     def test_state_empty_between_transactions(self, stack, test_keypair):
         issuer, server, _ = stack
@@ -300,3 +295,97 @@ def test_single_use_across_a_whole_session(stack, test_keypair):
             if outcome is ValidationOutcome.ACCEPTED:
                 accepted[key.token] = accepted.get(key.token, 0) + 1
     assert set(accepted.values()) == {1}
+
+
+class TestLazyDecryption:
+    """The server decrypts an envelope only to notify its recipient."""
+
+    def upload(self, stack, contacts, capacity):
+        issuer, server, _ = stack
+        key = issuer.issue_activation_key(DOCTOR, "user-0001")
+        return server.process_alert_upload(
+            key.token, "user-0001", contacts, capacity=capacity, now=0.0
+        )
+
+    def five(self, test_keypair):
+        return [scored(test_keypair, f"+2000{i}", 100.0 - i) for i in range(1, 6)]
+
+    @pytest.mark.parametrize("capacity, sent", [(2, 2), (None, 5)])
+    def test_decrypts_equal_sent(self, stack, test_keypair, decrypts, capacity, sent):
+        result = self.upload(stack, self.five(test_keypair), capacity=capacity)
+        assert len(decrypts) == len(result.sent) == sent
+        assert len(result.waitlisted) == 5 - sent
+
+    def test_zero_capacity_decrypts_nothing(self, stack, test_keypair, decrypts):
+        _, server, notifications = stack
+        result = self.upload(stack, self.five(test_keypair), capacity=0)
+        assert not decrypts and not notifications
+        assert len(result.waitlisted) == 5
+        assert server.idle_state() == {"waitlist_origins": 1, "waitlist_records": 5}
+
+    def test_release_decrypts_only_what_it_promotes(self, stack, test_keypair, decrypts):
+        _, server, notifications = stack
+        result = self.upload(stack, self.five(test_keypair), capacity=1)
+        decrypts.clear()
+        promoted = server.release_waitlist(result.origin_tag, 2, now=10.0)
+        assert [r.recipient_contact for r in promoted] == ["+20002", "+20003"]
+        assert decrypts == [r.envelope for r in promoted]
+        assert [c for c, _ in notifications] == ["+20001", "+20002", "+20003"]
+        assert server.idle_state()["waitlist_records"] == 2
+
+    def test_malformed_tail_entry_skipped_at_release(self, stack, test_keypair, decrypts):
+        _, server, notifications = stack
+        garbage = ScoredContact(
+            Envelope(ciphertext=7, key_tag=test_keypair.key_tag), 90.0
+        )  # in range, but does not decrypt to a packed contact
+        contacts = [
+            scored(test_keypair, "+20001", 100.0),
+            garbage,
+            scored(test_keypair, "+20003", 80.0),
+        ]
+        result = self.upload(stack, contacts, capacity=1)
+        # the tail was never decrypted, so the bad entry counts as waitlisted
+        assert result.decrypt_failures == 0 and len(result.waitlisted) == 2
+        promoted = server.release_waitlist(result.origin_tag, 1, now=10.0)
+        assert [r.recipient_contact for r in promoted] == ["+20003"]
+        assert len(decrypts) == 3
+        assert [c for c, _ in notifications] == ["+20001", "+20003"]
+        assert server.idle_state() == {"waitlist_origins": 0, "waitlist_records": 0}
+
+    def test_cross_key_duplicate_never_notified_twice(self, test_keypair, decrypts):
+        other = crypto.keypair_from_primes(2**31 - 1, 2**61 - 1, e=65537)
+        issuer = KeyIssuer(secret=b"issuer-secret")
+        notifications = []
+        server = DispatchServer(
+            keyring={test_keypair.key_tag: test_keypair, other.key_tag: other},
+            issuer=issuer,
+            secret=b"dispatch-secret",
+            notify=lambda contact, msg: notifications.append(contact),
+        )
+        key = issuer.issue_activation_key(DOCTOR, "user-0001")
+        contacts = [
+            scored(test_keypair, "+20001", 100.0),
+            scored(other, "+20001", 90.0),  # the same peer under the second key
+            scored(test_keypair, "+20002", 80.0),
+            scored(other, "+20002", 70.0),
+        ]
+        result = server.process_alert_upload(
+            key.token, "user-0001", contacts, capacity=1, now=0.0
+        )
+        assert notifications == ["+20001"] and len(result.waitlisted) == 3
+        promoted = server.release_waitlist(result.origin_tag, 5, now=10.0)
+        assert [r.recipient_contact for r in promoted] == ["+20002"]
+        assert notifications == ["+20001", "+20002"]
+        assert len(decrypts) == 4
+        # with no capacity the duplicate is dropped before it is sent, as before
+        key = issuer.issue_activation_key(DOCTOR, "user-0002")
+        result = server.process_alert_upload(key.token, "user-0002", contacts, None, 20.0)
+        assert [r.recipient_contact for r in result.sent] == ["+20001", "+20002"]
+        assert not result.waitlisted and result.decrypt_failures == 0
+
+    def test_waitlist_bucket_holds_no_plaintext(self, stack, test_keypair):
+        _, server, _ = stack
+        self.upload(stack, self.five(test_keypair), capacity=2)
+        held = repr(server._waitlists)
+        for i in range(1, 6):
+            assert f"+2000{i}" not in held

@@ -114,6 +114,19 @@ class TestPurge:
         assert min(e.ended_at for e in device.ledger.entries) >= now - WINDOW
 
 
+    def test_append_purges_once_the_ledger_doubles(self, test_keypair):
+        device = make_device()
+        envelope = envelope_for(test_keypair, "+20001")
+        every: list[EncounterEntry] = []
+        for day in range(400):
+            every.append(device.record_encounter(envelope, day * DAY, 300.0, -65.0, 2.0))
+            live = [e for e in every if e.ended_at >= day * DAY - WINDOW]
+            # expired entries never outnumber the live ones by much
+            assert len(device.ledger.entries) <= 2 * len(live) + 1
+            # and the ledger a read sees is the one it would see unpurged
+            assert [e for e in device.ledger.entries if e.ended_at >= day * DAY - WINDOW] == live
+
+
 class TestInteractionStrength:
     def entry(self, test_keypair, duration, distance):
         return EncounterEntry(

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -450,6 +452,41 @@ class TestWaitlistInWorld:
         last_tick = world.t - world.config.tick_seconds
         kept = world.dispatch_server._waitlists.values()
         assert kept and all(last_tick - bucket.created_at <= ttl for bucket in kept)
+
+
+def test_world_decrypts_only_sent_recipients(decrypts):
+    config = quiet_config(
+        agent_count=40, box_size=20.0, infection_prob_per_second=0.02,
+        tracking_threshold=3.0, tick_seconds=10.0, app_user_fraction=1.0,
+        incubation_seconds=300.0, horizon_seconds=900.0, initial_infected=3,
+        dispatch_capacity=2, yellow_enabled=True, key_bits=32,
+        radio=RadioModel(noise_sigma=2.0),
+    )
+    world = World(config, seed=5)
+    world.run()
+    dispatches = [e for e in world.events if e["type"] == "dispatch"]
+    sent = sum(e["status"] == "sent" for e in dispatches)
+    assert sent < len(dispatches)  # the capacity did waitlist recipients
+    assert len(decrypts) == sent
+
+
+def test_finished_world_freed_without_garbage_collection():
+    gc.collect()
+    gc.disable()
+    try:
+        world = small_world(
+            None, seed=31, agent_count=24, box_size=16.0,
+            infection_prob_per_second=0.03, tracking_threshold=2.5,
+            incubation_seconds=600.0, horizon_seconds=1000.0,
+            initial_infected=3, dispatch_capacity=1,
+        )
+        world.run()
+        assert any(e["type"] == "notify" for e in world.events)
+        ref = weakref.ref(world)
+        del world
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_detected_agents_do_not_move():
