@@ -120,9 +120,10 @@ def _run_world(args: argparse.Namespace) -> int:
     world = World(run.world_config, seed=args.seed, trace=trace)
     world.run()
     args.out.mkdir(parents=True, exist_ok=True)
+    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps builds per call
     with open(args.out / "events.jsonl", "w", newline="\n") as handle:
         for event in world.events:
-            handle.write(json.dumps(event, sort_keys=True) + "\n")
+            handle.write(encode(event) + "\n")
     with open(args.out / "bus_trace.jsonl", "w", newline="\n") as handle:
         bus_kinds = {
             "key_request": "KEY_REQUEST",
@@ -139,7 +140,7 @@ def _run_world(args: argparse.Namespace) -> int:
             record.update(
                 (k, v) for k, v in event.items() if k != "type"
             )
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.write(encode(record) + "\n")
     dispatches = [e for e in world.events if e["type"] == "dispatch"]
     lines = ["t,uploader,recipient,level,score,status,origin_tag"]
     lines += [
@@ -149,8 +150,9 @@ def _run_world(args: argparse.Namespace) -> int:
     ]
     (args.out / "dispatch_log.csv").write_text("\n".join(lines) + "\n", newline="\n")
     with open(args.out / "devices.jsonl", "w", newline="\n") as handle:
-        for snapshot in world.device_snapshots():
-            handle.write(json.dumps(snapshot, sort_keys=True) + "\n")
+        for agent in world.agents:  # one snapshot at a time
+            if agent.device is not None:
+                handle.write(encode(world.device_snapshot(agent.device)) + "\n")
     summary = world.summary()
     try:
         rate = false_alert_rate(world.events, run.world_config.infection_range)

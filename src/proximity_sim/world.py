@@ -161,16 +161,46 @@ class WorldConfig:
             )
 
 
-@dataclass
+# the health codes the world stores, indexing this tuple
+_SUSCEPTIBLE, _INFECTED, _DETECTED = range(3)
+_HEALTH_STATES = (HealthState.SUSCEPTIBLE, HealthState.INFECTED, HealthState.DETECTED)
+
+
 class Agent:
-    id: int
-    position: np.ndarray | None
-    speed: float
-    waypoint: np.ndarray | None
-    device: DeviceState | None
-    health: HealthState = HealthState.SUSCEPTIBLE
-    infected_at: float | None = None
-    detected_at: float | None = None
+    """One agent's view of the world's state arrays.
+
+    The world holds every agent's position, health and infection time in
+    arrays, one row per agent; an agent keeps its id, its device (None
+    without the app) and references to those arrays, never to the world.
+    `position` is a writable view of the agent's row (None in a replayed
+    trace, where agents have no position); assigning it moves the agent.
+    """
+
+    __slots__ = ("id", "device", "_positions", "_health", "_infected_at")
+
+    def __init__(self, id, device, positions, health, infected_at) -> None:
+        self.id = id
+        self.device = device
+        self._positions = positions
+        self._health = health
+        self._infected_at = infected_at
+
+    @property
+    def position(self) -> np.ndarray | None:
+        return None if self._positions is None else self._positions[self.id]
+
+    @position.setter
+    def position(self, value) -> None:
+        self._positions[self.id] = value
+
+    @property
+    def health(self) -> HealthState:
+        return _HEALTH_STATES[self._health[self.id]]
+
+    @property
+    def infected_at(self) -> float | None:
+        t = float(self._infected_at[self.id])
+        return None if math.isnan(t) else t
 
 
 # the lower agent index, the higher one and the true distance of each pair
@@ -229,6 +259,12 @@ class World:
     stops moving and infects no one, but still takes part in the contact
     search and in sensing, so app users near it keep recording encounters
     with it.
+
+    The world owns the agents' state as arrays indexed by agent id:
+    positions and waypoints ((n, 2), None in a replayed trace), speeds,
+    health codes and infection times (NaN before infection).  Every tick
+    phase works on those arrays; `agents` holds one `Agent` per id, a
+    view of its rows plus its device.
     """
 
     def __init__(
@@ -269,15 +305,18 @@ class World:
 
         n = config.agent_count
         if trace is None:
-            positions = self.rng.random((n, 2)) * config.box_size
-            waypoints = self.rng.random((n, 2)) * config.box_size
-            speeds = self.rng.uniform(config.speed_min, config.speed_max, n)
+            self._positions = self.rng.random((n, 2)) * config.box_size
+            self._waypoints = self.rng.random((n, 2)) * config.box_size
+            self._speeds = self.rng.uniform(config.speed_min, config.speed_max, n)
         else:
-            positions = waypoints = None
-            speeds = np.zeros(n)
+            self._positions = self._waypoints = self._speeds = None
         has_app = self.rng.random(n) < config.app_user_fraction
         self._has_app = has_app
-        seeds = np.sort(self.rng.choice(n, size=config.initial_infected, replace=False))
+        seeds = self.rng.choice(n, size=config.initial_infected, replace=False)
+        self._health = np.full(n, _SUSCEPTIBLE, dtype=np.int8)
+        self._health[seeds] = _INFECTED
+        self._infected_at = np.full(n, np.nan)
+        self._infected_at[seeds] = 0.0
 
         # short synthetic numbers under small (test-scale) moduli
         wide = self.keypair.public.modulus.bit_length() >= 64
@@ -306,17 +345,8 @@ class World:
                 )
                 self._agent_of_ciphertext[self._envelope_of[i].ciphertext] = i
             self.agents.append(
-                Agent(
-                    id=i,
-                    position=None if positions is None else positions[i].copy(),
-                    speed=float(speeds[i]),
-                    waypoint=None if waypoints is None else waypoints[i].copy(),
-                    device=device,
-                )
+                Agent(i, device, self._positions, self._health, self._infected_at)
             )
-        for i in seeds:
-            self.agents[int(i)].health = HealthState.INFECTED
-            self.agents[int(i)].infected_at = 0.0
 
         self._open: dict[tuple[int, int], _OpenContact] = {}
         self._uploads_by_tag: dict[str, int] = {}
@@ -329,22 +359,43 @@ class World:
     # -- per-tick phases ----------------------------------------------------
 
     def _move(self) -> None:
+        """Advance every agent towards its waypoint by speed * tick.
+
+        The result and the generator stream are those of the per-agent
+        loop that walks leg by leg and draws `rng.random(2) * box` for
+        each waypoint it reaches, agent by agent in id order:
+        - detected agents and agents with at most 1e-12 m to go stay put,
+          as the loop never enters its body for them;
+        - an agent that stops short of its waypoint draws nothing, and
+          its new position takes the loop's one step with the same float
+          operations (np.hypot, the division, the product and the sum)
+          applied elementwise;
+        - the few agents that reach their waypoint then run the loop
+          itself, in id order, so the draws come in the loop's order.
+        """
         dt = self.config.tick_seconds
         box = self.config.box_size
-        for agent in self.agents:
-            if agent.health is HealthState.DETECTED:
-                continue  # strict quarantine: no motion after detection
-            remaining = agent.speed * dt
-            while remaining > 1e-12:
-                leg = agent.waypoint - agent.position
-                gap = float(np.hypot(leg[0], leg[1]))
-                if gap <= remaining:
-                    agent.position = agent.waypoint
-                    agent.waypoint = self.rng.random(2) * box
-                    remaining -= gap
+        positions, waypoints = self._positions, self._waypoints
+        remaining = self._speeds * dt
+        leg = waypoints - positions
+        gap = np.hypot(leg[:, 0], leg[:, 1])
+        moving = (self._health != _DETECTED) & (remaining > 1e-12)
+        short = moving & (gap > remaining)
+        positions[short] += leg[short] * (remaining[short] / gap[short])[:, None]
+        for i in np.flatnonzero(moving & ~short).tolist():
+            position, waypoint = positions[i].copy(), waypoints[i].copy()
+            left = remaining[i]
+            while left > 1e-12:
+                leg_i = waypoint - position
+                gap_i = float(np.hypot(leg_i[0], leg_i[1]))
+                if gap_i <= left:
+                    position = waypoint
+                    waypoint = self.rng.random(2) * box
+                    left -= gap_i
                 else:
-                    agent.position = agent.position + leg * (remaining / gap)
-                    remaining = 0.0
+                    position = position + leg_i * (left / gap_i)
+                    left = 0.0
+            positions[i], waypoints[i] = position, waypoint
 
     def _contacts(self) -> _Contacts:
         """Pairs in radio range this tick, as three arrays: the lower and
@@ -361,7 +412,7 @@ class World:
                 np.array([c[1] for c in live], dtype=np.intp),
                 np.array([c[2] for c in live], dtype=float),
             )
-        positions = np.stack([a.position for a in self.agents])
+        positions = self._positions
         first, second = self._candidate_pairs(positions)
         deltas = positions[first] - positions[second]
         dist = np.sqrt((deltas**2).sum(axis=1))
@@ -520,8 +571,8 @@ class World:
     def _transmit(self, contacts: _Contacts) -> None:
         cfg = self.config
         p_tick = 1.0 - (1.0 - cfg.infection_prob_per_second) ** cfg.tick_seconds
-        infectious = np.array([a.health is HealthState.INFECTED for a in self.agents])
-        susceptible = np.array([a.health is HealthState.SUSCEPTIBLE for a in self.agents])
+        infectious = self._health == _INFECTED
+        susceptible = self._health == _SUSCEPTIBLE
         first, second, dist = contacts
         exposed = (dist <= cfg.infection_range) & (
             (infectious[first] & susceptible[second])
@@ -539,24 +590,21 @@ class World:
                 pending.append((source, target, true_d))
                 claimed.add(target)
         for source, target, true_d in pending:
-            agent = self.agents[target]
-            agent.health = HealthState.INFECTED
-            agent.infected_at = self.t
+            self._health[target] = _INFECTED
+            self._infected_at[target] = self.t
             self._log(
                 type="infection", t=self.t, source=source, target=target,
                 distance=true_d,
             )
 
     def _detect_and_alert(self) -> None:
-        cfg = self.config
-        for agent in self.agents:
-            if agent.health is not HealthState.INFECTED:
-                continue
-            if self.t - agent.infected_at < cfg.incubation_seconds:
-                continue
-            agent.health = HealthState.DETECTED
-            agent.detected_at = self.t
-            self._log(type="detected", t=self.t, agent=agent.id)
+        due = (self._health == _INFECTED) & (
+            self.t - self._infected_at >= self.config.incubation_seconds
+        )
+        for i in np.flatnonzero(due).tolist():
+            self._health[i] = _DETECTED
+            self._log(type="detected", t=self.t, agent=i)
+            agent = self.agents[i]
             if agent.device is not None:
                 self._run_activation(agent)
 
@@ -682,8 +730,16 @@ class World:
     # -- reporting ------------------------------------------------------------
 
     def summary(self) -> dict:
-        encounters = [e for e in self.events if e["type"] == "encounter"]
-        by_key = {(e["recorder"], e["peer"], e["start"]) for e in encounters}
+        counts = dict.fromkeys(("infection", "detected", "upload", "notify"), 0)
+        encounters = 0
+        by_key = set()
+        for e in self.events:
+            kind = e["type"]
+            if kind == "encounter":
+                encounters += 1
+                by_key.add((e["recorder"], e["peer"], e["start"]))
+            elif kind in counts:
+                counts[kind] += 1
         asymmetric = sum(
             1
             for (rec, peer, start) in by_key
@@ -691,13 +747,13 @@ class World:
         )
         return {
             "agents": self.config.agent_count,
-            "app_users": sum(1 for a in self.agents if a.device is not None),
-            "infections": sum(1 for e in self.events if e["type"] == "infection"),
-            "detected": sum(1 for e in self.events if e["type"] == "detected"),
-            "encounters": len(encounters),
+            "app_users": int(self._has_app.sum()),
+            "infections": counts["infection"],
+            "detected": counts["detected"],
+            "encounters": encounters,
             "asymmetric_encounters": asymmetric,
-            "uploads": sum(1 for e in self.events if e["type"] == "upload"),
-            "notifications": sum(1 for e in self.events if e["type"] == "notify"),
+            "uploads": counts["upload"],
+            "notifications": counts["notify"],
         }
 
     def _ledger(self, device: DeviceState) -> list[EncounterEntry]:
@@ -712,34 +768,30 @@ class World:
         cutoff = self.last_tick_t - device.ledger.retention_window
         return [e for e in device.ledger.entries if e.ended_at >= cutoff]
 
-    def device_snapshots(self) -> list[dict]:
-        """Per-device state records (the fixture/state-file schema)."""
-        snapshots = []
-        for agent in self.agents:
-            device = agent.device
-            if device is None:
-                continue
-            snapshots.append(
+    def device_snapshot(self, device: DeviceState) -> dict:
+        """One device's state record (the fixture/state-file schema)."""
+        return {
+            "user_id": device.user_id,
+            "own_contact": device.own_contact,
+            "mode": device.mode.value,
+            "tested_positive": device.tested_positive,
+            "yellow_enabled": device.yellow_enabled,
+            "entries": [
                 {
-                    "user_id": device.user_id,
-                    "own_contact": device.own_contact,
-                    "mode": device.mode.value,
-                    "tested_positive": device.tested_positive,
-                    "yellow_enabled": device.yellow_enabled,
-                    "entries": [
-                        {
-                            "key_tag": e.peer_envelope.key_tag,
-                            "ciphertext": str(e.peer_envelope.ciphertext),
-                            "started_at": e.started_at,
-                            "duration": e.duration,
-                            "mean_rssi": e.mean_rssi,
-                            "estimated_distance": e.estimated_distance,
-                        }
-                        for e in self._ledger(device)
-                    ],
+                    "key_tag": e.peer_envelope.key_tag,
+                    "ciphertext": str(e.peer_envelope.ciphertext),
+                    "started_at": e.started_at,
+                    "duration": e.duration,
+                    "mean_rssi": e.mean_rssi,
+                    "estimated_distance": e.estimated_distance,
                 }
-            )
-        return snapshots
+                for e in self._ledger(device)
+            ],
+        }
+
+    def device_snapshots(self) -> list[dict]:
+        """Every app user's state record, in agent order."""
+        return [self.device_snapshot(a.device) for a in self.agents if a.device is not None]
 
 
 def global_ledger_view(world: World) -> dict[str, list[EncounterEntry]]:

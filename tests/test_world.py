@@ -22,6 +22,7 @@ from proximity_sim.world import (
     RadioModel,
     World,
     WorldConfig,
+    _DETECTED,
     estimate_distance,
     false_alert_rate,
     global_ledger_view,
@@ -509,6 +510,102 @@ def test_detected_agents_do_not_move():
     assert positions_after_detection
 
 
+def reference_move(positions, waypoints, speeds, detected, dt, box, rng) -> list[int]:
+    """The per-agent motion loop the vectorised _move replaced: the reference.
+    Moves the per-agent arrays in place; returns the waypoints each reached."""
+    reached = []
+    for i, speed in enumerate(speeds):
+        count = 0
+        remaining = 0.0 if detected[i] else speed * dt
+        while remaining > 1e-12:
+            leg = waypoints[i] - positions[i]
+            gap = float(np.hypot(leg[0], leg[1]))
+            if gap <= remaining:
+                positions[i] = waypoints[i]
+                waypoints[i] = rng.random(2) * box
+                remaining -= gap
+                count += 1
+            else:
+                positions[i] = positions[i] + leg * (remaining / gap)
+                remaining = 0.0
+        reached.append(count)
+    return reached
+
+
+@pytest.mark.parametrize(
+    "box_size, speed_max, tick_seconds",
+    [(50.0, 0.7, 10.0), (4.0, 2.0, 10.0), (30.0, 1.5, 0.7)],
+)
+def test_vectorised_move_equals_per_agent_loop(box_size, speed_max, tick_seconds):
+    n = 200
+    world = small_world(
+        None, seed=3, agent_count=n, box_size=box_size, speed_min=0.0,
+        speed_max=speed_max, tick_seconds=tick_seconds,
+    )
+    picks = np.random.default_rng(9)
+    world._speeds[picks.random(n) < 0.1] = 0.0
+    positions = [a.position.copy() for a in world.agents]
+    waypoints = list(world._waypoints.copy())
+    speeds = world._speeds.tolist()
+    reference = np.random.Generator(np.random.PCG64())
+    reference.bit_generator.state = world.rng.bit_generator.state
+    most = 0
+    for step in range(40):
+        if step % 10 == 5:  # quarantine a few agents between moves
+            world._health[picks.choice(n, size=5, replace=False)] = _DETECTED
+        detected = [a.health is HealthState.DETECTED for a in world.agents]
+        most = max(most, *reference_move(
+            positions, waypoints, speeds, detected, tick_seconds, box_size, reference
+        ))
+        world._move()
+        assert np.array_equal(np.stack([a.position for a in world.agents]),
+                              np.stack(positions))
+        assert np.array_equal(world._waypoints, np.stack(waypoints))
+        assert world.rng.bit_generator.state == reference.bit_generator.state
+    assert sum(detected) > 5
+    # several waypoints in one tick when a tick's stride outruns the box
+    assert most > 1 if speed_max * tick_seconds > box_size else most >= 1
+
+
+def test_agent_landing_on_its_waypoint_stops_there():
+    world = small_world(None, agent_count=2, box_size=10.0)
+    world.agents[0].position = (1.0, 1.0)
+    world._waypoints[0] = (4.0, 5.0)
+    world._speeds[0] = 0.5  # 5 m in a 10 s tick: exactly the leg
+    world._move()
+    assert world.agents[0].position.tolist() == [4.0, 5.0]
+    assert world._waypoints[0].tolist() != [4.0, 5.0]
+
+
+def test_agent_state_agrees_with_the_event_log():
+    world = small_world(
+        None, seed=4, agent_count=60, box_size=30.0,
+        infection_prob_per_second=0.01, infection_range=2.5,
+        tracking_threshold=2.5, incubation_seconds=200.0,
+        horizon_seconds=500.0, initial_infected=3,
+    )
+    world.run()
+    infected_at = {e["target"]: e["t"] for e in world.events if e["type"] == "infection"}
+    detected_at = {e["agent"]: e["t"] for e in world.events if e["type"] == "detected"}
+    seeds = 0
+    for agent in world.agents:
+        if agent.id in infected_at:
+            assert agent.infected_at == infected_at[agent.id]
+        elif agent.infected_at is not None:
+            assert agent.infected_at == 0.0
+            seeds += 1
+        if agent.id in detected_at:
+            assert agent.health is HealthState.DETECTED
+            delay = detected_at[agent.id] - agent.infected_at
+            assert 200.0 <= delay < 200.0 + world.config.tick_seconds
+        elif agent.infected_at is not None:
+            assert agent.health is HealthState.INFECTED
+        else:
+            assert agent.health is HealthState.SUSCEPTIBLE
+    assert seeds == 3
+    assert {a.health for a in world.agents} == set(HealthState)
+
+
 def contact_tuples(contacts) -> list[tuple[int, int, float]]:
     first, second, dist = contacts
     return list(zip(first.tolist(), second.tolist(), dist.tolist()))
@@ -538,6 +635,16 @@ def assert_matches_dense(positions, radio_range: float) -> list:
     expected = dense_contacts(np.asarray(positions, dtype=float), radio_range)
     assert contact_tuples(world._contacts()) == expected
     return expected
+
+
+def test_assigned_position_moves_the_agent_the_contact_search_sees():
+    world = world_at([(5.0, 5.0), (40.0, 40.0), (30.0, 5.0)], 10.0)
+    assert contact_tuples(world._contacts()) == []
+    world.agents[2].position = (8.0, 9.0)
+    assert contact_tuples(world._contacts()) == [(0, 2, 5.0)]
+    world.agents[1].position[:] = (8.0, 13.0)  # the row is a view
+    assert contact_tuples(world._contacts()) == [(0, 1, math.hypot(3.0, 8.0)),
+                                                 (0, 2, 5.0), (1, 2, 4.0)]
 
 
 class TestCellList:
