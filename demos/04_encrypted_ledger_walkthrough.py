@@ -1,9 +1,10 @@
 """The privacy machinery, step by step.
 
 Builds the envelope keypair, packs phone numbers into integers, fills a
-device ledger with encrypted encounters, scores and splits the peers at
-a capacity threshold, then walks the one-time-key dance between the two
-authority servers and shows that nothing readable leaks in between.
+device ledger with encrypted encounters, then walks the one-time-key
+dance between the two authority servers: the device scores its peers,
+the dispatch server ranks them and splits them at a capacity threshold,
+and nothing readable leaks in between.
 """
 
 from proximity_sim.authority import DispatchServer, DoctorCredential, KeyIssuer
@@ -37,11 +38,6 @@ for contact, duration, distance in (
 
 print("the ledger alone is unreadable: it holds ciphertexts, never numbers")
 
-ranked, waiting = alice.prioritized_contacts(capacity=2)
-print(f"priority scores (duration x closeness): "
-      f"{[round(sc.score, 1) for sc in ranked + waiting]}, capacity 2 keeps "
-      f"{len(ranked)} and waitlists {len(waiting)}")
-
 # -- the two-server dance ------------------------------------------------------
 issuer = KeyIssuer(secret=b"issuer-demo-secret")
 notifications = []
@@ -59,6 +55,9 @@ print(f"doctor obtains a one-time activation token: {key.token[:16]}...")
 result = alice.activate_alert_mode(key.token, server, now=100.0, capacity=2)
 print(f"upload accepted: {len(result.sent)} alerts sent, "
       f"{len(result.waitlisted)} waitlisted, tag {result.origin_tag}")
+print(f"  the server ranks priority scores (duration x closeness): capacity 2 "
+      f"sends {[round(r.score, 1) for r in result.sent]} and waitlists "
+      f"{[round(r.score, 1) for r in result.waitlisted]}")
 for contact, level in notifications:
     print(f"  {level} alert -> {contact} (origin tag only, sender never named)")
 

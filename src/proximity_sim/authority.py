@@ -211,10 +211,12 @@ class DispatchServer:
     def _rank(self, scored_contacts: list[ScoredContact]) -> tuple[list[ScoredContact], int]:
         """Priority order with unusable and repeated envelopes dropped.
 
-        Needs no decryption: an envelope under an unknown key or outside
-        [0, n) cannot decrypt and is counted as a failure, and under one
-        key distinct ciphertexts are distinct contacts, so a repeated
-        (key tag, ciphertext) is the same recipient again.
+        Descending score, ties broken by the ciphertext's decimal string,
+        so the order does not depend on the upload's.  Needs no
+        decryption: an envelope under an unknown key or outside [0, n)
+        cannot decrypt and is counted as a failure, and under one key
+        distinct ciphertexts are distinct contacts, so a repeated (key
+        tag, ciphertext) is the same recipient again.
         """
         ranked = sorted(
             scored_contacts, key=lambda sc: (-sc.score, str(sc.envelope.ciphertext))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import crypto
 from .config import ParseError, RunConfig, ValidationError, parse_config, parse_sweep_axis
-from .epidemic import AbortCapExceeded, run_ensemble
+from .epidemic import run_ensemble
 from .report import emit_csv, emit_svg
 from .world import World, false_alert_rate, parse_contact_trace, EmptyLog
 
@@ -230,9 +230,6 @@ def run_command(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except AbortCapExceeded as exc:
-        print(f"runtime abort: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

@@ -102,7 +102,6 @@ RADIO_KEYS = ("rssi_at_1m", "path_loss_exponent", "noise_sigma", "max_radio_rang
 
 @dataclass
 class RunConfig:
-    command: str
     sim_params: SimulationParams | None = None
     world_config: WorldConfig | None = None
     trace_file: str | None = None
@@ -153,14 +152,14 @@ def parse_config(text: str, command: str = "epidemic") -> RunConfig:
     if command not in COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
     if command == "crypto-selftest":
-        return RunConfig(command=command)
+        return RunConfig()
     if command in EPIDEMIC_COMMANDS:
         values = _parse_pairs(text, EPIDEMIC_KEYS)
         try:
             params = SimulationParams(**values)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-        return RunConfig(command=command, sim_params=params)
+        return RunConfig(sim_params=params)
     values = _parse_pairs(text, WORLD_KEYS)
     trace_file = values.pop("trace_file", None)
     radio_values = {k: values.pop(k) for k in RADIO_KEYS if k in values}
@@ -169,4 +168,4 @@ def parse_config(text: str, command: str = "epidemic") -> RunConfig:
         world = WorldConfig(radio=radio, **values)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    return RunConfig(command=command, world_config=world, trace_file=trace_file)
+    return RunConfig(world_config=world, trace_file=trace_file)

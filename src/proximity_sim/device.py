@@ -1,13 +1,13 @@
 """Per-device state machine: encounter tracking and alert handling.
 
 A device spends its life in tracking mode, appending encrypted encounter
-entries to its local ledger and expiring anything older than the
-retention window whenever it reads the ledger, and whenever the ledger
-has doubled since its last purge (amortised O(1) per entry).  It
-switches to alert mode only through a one-time activation token
-validated by the dispatch server, at which point the scored ledger is
-uploaded for notification fan-out.  The ledger never holds a plaintext
-contact.
+entries to its local ledger.  The device alone applies the retention
+window: it expires anything older whenever the ledger is read, and
+whenever the ledger has doubled since its last purge (amortised O(1) per
+entry).  It switches to alert mode only through a one-time activation
+token validated by the dispatch server, at which point it uploads one
+score per distinct peer; the server ranks them and applies the capacity
+threshold.  The ledger never holds a plaintext contact.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class YellowDispatchRequest:
 
     red_origin_tag: str
     contacts: list[ScoredContact]
-    requested_at: float
 
 
 def interaction_strength(entries: list[EncounterEntry], distance_cutoff: float) -> float:
@@ -174,33 +173,24 @@ class DeviceState:
         self._purge_at_length = max(2 * len(kept), _MIN_PURGE_LENGTH)
         return removed
 
-    def _grouped(self) -> dict[tuple[str, int], list[EncounterEntry]]:
+    def scored_contacts(self, now: float) -> list[ScoredContact]:
+        """Purge the ledger at `now` and score each distinct peer.
+
+        One contact per (key tag, ciphertext), in the order the peers
+        first appear in the ledger; the dispatch server ranks them.
+        """
+        self.purge_expired(now)
         groups: dict[tuple[str, int], list[EncounterEntry]] = {}
         for entry in self.ledger.entries:
             key = (entry.peer_envelope.key_tag, entry.peer_envelope.ciphertext)
             groups.setdefault(key, []).append(entry)
-        return groups
-
-    def prioritized_contacts(
-        self, capacity: int | None
-    ) -> tuple[list[ScoredContact], list[ScoredContact]]:
-        """Score distinct peers and split them at the capacity threshold.
-
-        Returns (alert_list, waiting_list): descending score, ties broken
-        by the ciphertext's decimal string so the order is deterministic.
-        Together the two lists cover every distinct in-window peer once.
-        """
-        scored = [
+        return [
             ScoredContact(
                 envelope=entries[0].peer_envelope,
                 score=interaction_strength(entries, self.tracking_threshold),
             )
-            for entries in self._grouped().values()
+            for entries in groups.values()
         ]
-        scored.sort(key=lambda sc: (-sc.score, str(sc.envelope.ciphertext)))
-        if capacity is None:
-            return scored, []
-        return scored[:capacity], scored[capacity:]
 
     def activate_alert_mode(
         self,
@@ -211,19 +201,17 @@ class DeviceState:
     ) -> "authority.UploadResult":
         """Switch to alert mode through a one-time activation token.
 
-        On success the full scored ledger is uploaded for dispatch (the
-        server re-applies the capacity threshold).  On rejection or
-        transport failure the device state is left untouched.
+        On success every scored peer is uploaded; the server ranks them
+        and applies the capacity threshold.  On rejection or transport
+        failure the device is left in tracking mode.
         """
         if self.mode is not DeviceMode.TRACKING:
             raise ValueError("device is already in alert mode")
-        self.purge_expired(now)
-        scored, _ = self.prioritized_contacts(capacity=None)
         try:
             result = server.process_alert_upload(
                 token=token,
                 user_id=self.user_id,
-                scored_contacts=scored,
+                scored_contacts=self.scored_contacts(now),
                 capacity=capacity,
                 now=now,
             )
@@ -241,8 +229,8 @@ class DeviceState:
         """Log an incoming alert; a red alert may trigger yellow fan-out.
 
         The fan-out request is returned (not sent) and carries this
-        device's own prioritized peers.  Yellow alerts are logged and
-        never forwarded, bounding the cascade at one hop.
+        device's own scored peers.  Yellow alerts are logged and never
+        forwarded, bounding the cascade at one hop.
         """
         self.received.append(message)
         if (
@@ -250,11 +238,8 @@ class DeviceState:
             and self.yellow_enabled
             and not self.tested_positive
         ):
-            self.purge_expired(now)
-            contacts, _ = self.prioritized_contacts(capacity=None)
             return YellowDispatchRequest(
                 red_origin_tag=message.origin_tag,
-                contacts=contacts,
-                requested_at=now,
+                contacts=self.scored_contacts(now),
             )
         return None

@@ -158,10 +158,6 @@ class DailySeries:
     new_infected_per_day: np.ndarray
     truncated: bool = False
 
-    @property
-    def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.new_infected_per_day)
-
     def __len__(self) -> int:
         return len(self.new_infected_per_day)
 

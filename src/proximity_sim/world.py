@@ -621,11 +621,7 @@ class World:
             key.token, self.dispatch_server, now=self.t,
             capacity=cfg.dispatch_capacity,
         )
-        yellow_requests = self._record_and_deliver(
-            agent.id, result, AlertLevel.RED, token=key.token
-        )
-        for requester_id, request in yellow_requests:
-            self._run_yellow(requester_id, request)
+        self._record_and_deliver(agent.id, result, AlertLevel.RED, token=key.token)
 
     def _run_yellow(self, requester_id: int, request: YellowDispatchRequest) -> None:
         result = self.dispatch_server.process_yellow_dispatch(
@@ -634,11 +630,7 @@ class World:
             capacity=self.config.dispatch_capacity,
             now=self.t,
         )
-        leftovers = self._record_and_deliver(
-            requester_id, result, AlertLevel.YELLOW, token=""
-        )
-        if leftovers:  # yellow handling never requests another hop
-            raise RuntimeError("yellow dispatch produced a further fan-out request")
+        self._record_and_deliver(requester_id, result, AlertLevel.YELLOW, token="")
 
     def _record_and_deliver(self, uploader_id, result, level, token):
         self._uploads_by_tag[result.origin_tag] = uploader_id
@@ -666,9 +658,12 @@ class World:
                 status=record.status.value,
                 origin_tag=result.origin_tag,
             )
-        return self._deliver_outbox()
+        self._deliver_outbox()
 
-    def _deliver_outbox(self) -> list[tuple[int, YellowDispatchRequest]]:
+    def _deliver_outbox(self) -> None:
+        """Deliver every queued notification, then run the yellow fan-out
+        requests they produced, in delivery order.  Only red alerts produce
+        requests, so the yellow notifications delivered in turn request none."""
         requests: list[tuple[int, YellowDispatchRequest]] = []
         pending = self._outbox[:]
         self._outbox.clear()
@@ -688,7 +683,8 @@ class World:
             )
             if request is not None:
                 requests.append((recipient_id, request))
-        return requests
+        for requester_id, request in requests:
+            self._run_yellow(requester_id, request)
 
     # -- main loop ------------------------------------------------------------
 
@@ -723,50 +719,51 @@ class World:
             type="waitlist_release", t=self.t, origin_tag=origin_tag,
             released=len(promoted),
         )
-        for requester_id, request in self._deliver_outbox():
-            self._run_yellow(requester_id, request)
+        self._deliver_outbox()
         return len(promoted)
 
     # -- reporting ------------------------------------------------------------
 
     def summary(self) -> dict:
+        """Event counts.  An encounter is asymmetric when one agent alone
+        recorded it: (recorder, peer, start) is unique, so a pair's key is
+        held only until its second direction shows up."""
         counts = dict.fromkeys(("infection", "detected", "upload", "notify"), 0)
         encounters = 0
-        by_key = set()
+        one_way: set[tuple[int, int, float]] = set()
         for e in self.events:
             kind = e["type"]
             if kind == "encounter":
                 encounters += 1
-                by_key.add((e["recorder"], e["peer"], e["start"]))
+                rec, peer = e["recorder"], e["peer"]
+                key = (min(rec, peer), max(rec, peer), e["start"])
+                if key in one_way:
+                    one_way.remove(key)
+                else:
+                    one_way.add(key)
             elif kind in counts:
                 counts[kind] += 1
-        asymmetric = sum(
-            1
-            for (rec, peer, start) in by_key
-            if (peer, rec, start) not in by_key
-        )
         return {
             "agents": self.config.agent_count,
             "app_users": int(self._has_app.sum()),
             "infections": counts["infection"],
             "detected": counts["detected"],
             "encounters": encounters,
-            "asymmetric_encounters": asymmetric,
+            "asymmetric_encounters": len(one_way),
             "uploads": counts["upload"],
             "notifications": counts["notify"],
         }
 
     def _ledger(self, device: DeviceState) -> list[EncounterEntry]:
-        """A device's ledger as a purge at the last tick would leave it.
+        """A device's ledger, purged at the last tick's time.
 
-        Devices purge their ledgers only when they read them, on
-        activation and on a notification, so expired entries wait there
-        until then; reads from outside the world drop them here.
+        Devices purge their ledgers only when they read them, so expired
+        entries wait there until then.  Every later read purges at a time
+        no earlier, so purging here changes nothing the world does next.
         """
-        if self.last_tick_t is None:
-            return list(device.ledger.entries)
-        cutoff = self.last_tick_t - device.ledger.retention_window
-        return [e for e in device.ledger.entries if e.ended_at >= cutoff]
+        if self.last_tick_t is not None:
+            device.purge_expired(self.last_tick_t)
+        return device.ledger.entries
 
     def device_snapshot(self, device: DeviceState) -> dict:
         """One device's state record (the fixture/state-file schema)."""
@@ -812,29 +809,30 @@ def false_alert_rate(log: list[dict], infection_range: float) -> float:
     infection range.  Needs the world's ground-truth log (encounters must
     be flushed, e.g. after World.run()).
     """
-    encounters: dict[tuple[int, int], list[tuple[float, float, float]]] = {}
+    uploads: dict[str, dict] = {}
+    reds: list[dict] = []
     for event in log:
-        if event["type"] == "encounter":
-            key = (event["recorder"], event["peer"])
-            encounters.setdefault(key, []).append(
-                (event["start"], event["end"], event["min_true_distance"])
-            )
-    uploads = {
-        e["origin_tag"]: e for e in log if e["type"] == "upload"
-    }
-    reds = [
-        e
-        for e in log
-        if e["type"] == "notify" and e["level"] == AlertLevel.RED.value
-    ]
+        if event["type"] == "upload":
+            uploads[event["origin_tag"]] = event
+        elif event["type"] == "notify" and event["level"] == AlertLevel.RED.value:
+            reds.append(event)
     if not reds:
         raise EmptyLog("no red notifications in the log")
+    # the log may hold millions of encounters: index only the notified pairs
+    encounters: dict[tuple[int, int], list[tuple[float, float, float]]] = {
+        (notify["uploader"], notify["recipient"]): [] for notify in reds
+    }
+    for e in log:
+        if e["type"] == "encounter" and (e["recorder"], e["peer"]) in encounters:
+            encounters[e["recorder"], e["peer"]].append(
+                (e["start"], e["end"], e["min_true_distance"])
+            )
     false_count = 0
     for notify in reds:
         upload = uploads[notify["origin_tag"]]
         upload_time = upload["t"]
         window = upload["retention_window"]
-        intervals = encounters.get((notify["uploader"], notify["recipient"]), [])
+        intervals = encounters[(notify["uploader"], notify["recipient"])]
         relevant = [
             min_d
             for (start, end, min_d) in intervals

@@ -194,6 +194,15 @@ class TestAlertUpload:
         assert [r.recipient_contact for r in result.waitlisted] == [None, None]
         assert opened(test_keypair, result.waitlisted) == ["+20002", "+20003"]
 
+    def test_equal_scores_sent_in_ciphertext_string_order(self, stack, test_keypair):
+        issuer, server, _ = stack
+        tied = [scored(test_keypair, c, 100.0) for c in ("+20009", "+20005", "+20007")]
+        expected = sorted(tied, key=lambda sc: str(sc.envelope.ciphertext))
+        for upload in (tied, tied[::-1]):
+            key = issuer.issue_activation_key(DOCTOR, "user-0001")
+            result = server.process_alert_upload(key.token, "user-0001", upload, None, 0.0)
+            assert [r.envelope for r in result.sent] == [sc.envelope for sc in expected]
+
     def test_state_empty_between_transactions(self, stack, test_keypair):
         issuer, server, _ = stack
         key = issuer.issue_activation_key(DOCTOR, "user-0001")

@@ -165,58 +165,23 @@ class TestInteractionStrength:
         assert long > short > far
 
 
-class TestPrioritizedContacts:
-    def fill(self, device, test_keypair):
-        # scores 500, 400, 90, 10 across four peers
-        plans = [
-            ("+20001", [(600.0, 1.0), (300.0, 2.0)]),   # 400 + 100
-            ("+20002", [(600.0, 1.0)]),                 # 400
-            ("+20003", [(270.0, 2.0)]),                 # 90
-            ("+20004", [(30.0, 2.0)]),                  # 10
-        ]
-        for contact, visits in plans:
-            for duration, distance in visits:
-                device.record_encounter(
-                    envelope_for(test_keypair, contact), 0.0, duration, -60.0, distance
-                )
-
-    def test_threshold_split(self, test_keypair):
+class TestScoredContacts:
+    def test_one_score_per_peer_in_ledger_order_after_purge(self, test_keypair):
         device = make_device()
-        self.fill(device, test_keypair)
-        alert, waiting = device.prioritized_contacts(capacity=2)
-        assert [round(s.score) for s in alert] == [500, 400]
-        assert [round(s.score) for s in waiting] == [90, 10]
-
-    def test_zero_capacity(self, test_keypair):
-        device = make_device()
-        self.fill(device, test_keypair)
-        alert, waiting = device.prioritized_contacts(capacity=0)
-        assert not alert and len(waiting) == 4
-
-    def test_ample_capacity(self, test_keypair):
-        device = make_device()
-        self.fill(device, test_keypair)
-        alert, waiting = device.prioritized_contacts(capacity=10)
-        assert len(alert) == 4 and not waiting
-
-    def test_partition_covers_each_peer_once(self, test_keypair):
-        device = make_device()
-        self.fill(device, test_keypair)
-        alert, waiting = device.prioritized_contacts(capacity=3)
-        ciphertexts = [s.envelope.ciphertext for s in alert + waiting]
-        assert len(ciphertexts) == len(set(ciphertexts)) == 4
-
-    def test_deterministic_tie_break(self, test_keypair):
-        device = make_device()
-        for contact in ("+20009", "+20005", "+20007"):
-            device.record_encounter(
-                envelope_for(test_keypair, contact), 0.0, 100.0, -60.0, 1.0
-            )
-        first, _ = device.prioritized_contacts(capacity=None)
-        second, _ = device.prioritized_contacts(capacity=None)
-        assert [s.envelope.ciphertext for s in first] == [s.envelope.ciphertext for s in second]
-        expected = sorted(str(s.envelope.ciphertext) for s in first)
-        assert [str(s.envelope.ciphertext) for s in first] == expected
+        expired = envelope_for(test_keypair, "+20009")
+        low, high = envelope_for(test_keypair, "+20001"), envelope_for(test_keypair, "+20002")
+        device.record_encounter(expired, 0.0, 600.0, -60.0, 1.0)
+        device.record_encounter(low, 2 * DAY, 30.0, -60.0, 2.0)    # 10
+        device.record_encounter(high, 2 * DAY, 600.0, -60.0, 1.0)  # 400
+        device.record_encounter(low, 3 * DAY, 60.0, -60.0, 2.0)    # + 20
+        device.record_encounter(expired, 3 * DAY, 60.0, -60.0, 1.0)
+        # at 14 days past 1 day the first entry (ended at 600 s) expires,
+        # while the later visit keeps +20009 in the ledger
+        scored = device.scored_contacts(now=WINDOW + DAY)
+        assert [s.envelope for s in scored] == [low, high, expired]
+        assert [round(s.score) for s in scored] == [30, 400, 40]
+        assert len(device.ledger.entries) == 4
+        assert min(e.started_at for e in device.ledger.entries) == 2 * DAY
 
 
 class TestActivation:

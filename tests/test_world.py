@@ -362,6 +362,66 @@ class TestFalseAlerts:
             false_alert_rate(world.events, 2.5)
 
 
+def encounter_events(count: int) -> list[dict]:
+    """Both directions of `count` distinct encounters, as the world logs them."""
+    events = []
+    for n in range(count):
+        a, b, start = n % 100, 100 + n % 97, float(n)
+        for recorder, peer in ((a, b), (b, a)):
+            events.append(dict(
+                type="encounter", recorder=recorder, peer=peer, start=start,
+                end=start + 10.0, min_true_distance=2.0, mean_estimated_distance=2.0,
+            ))
+    return events
+
+
+def traced_peak(call):
+    """(result, peak bytes allocated while `call` ran)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReportMemory:
+    """The reports hold nothing per encounter: 40,000 encounter events
+    indexed or kept in a set would take megabytes."""
+
+    def test_false_alert_rate_without_red_indexes_nothing(self):
+        log = encounter_events(20_000)
+
+        def rate():
+            with pytest.raises(EmptyLog):
+                false_alert_rate(log, 2.5)
+
+        _, peak = traced_peak(rate)
+        assert peak < 100_000
+
+    def test_false_alert_rate_indexes_only_the_notified_pairs(self):
+        log = encounter_events(20_000) + [
+            dict(type="upload", t=50.0, origin_tag="tag", retention_window=100.0),
+            dict(type="notify", t=50.0, level="red", recipient=100, uploader=0,
+                 origin_tag="tag"),
+        ]
+        for event in log[:2]:  # the in-window encounter of agents 0 and 100
+            event["min_true_distance"] = 3.0
+        rate, peak = traced_peak(lambda: false_alert_rate(log, 2.5))
+        assert rate == 1.0
+        assert peak < 100_000
+
+    def test_summary_holds_no_set_of_every_encounter(self):
+        world = small_world(static_pair_trace(2.0, 100.0))
+        world.events = encounter_events(20_000)
+        summary, peak = traced_peak(world.summary)
+        assert summary["encounters"] == 40_000
+        assert summary["asymmetric_encounters"] == 0
+        assert peak < 100_000
+        del world.events[1]  # one direction of the first encounter
+        assert world.summary()["asymmetric_encounters"] == 1
+
+
 class TestYellowFanOut:
     def test_one_hop_cascade(self):
         world = small_world(
