@@ -3,8 +3,9 @@
 Builds the envelope keypair, packs phone numbers into integers, fills a
 device ledger with encrypted encounters, then walks the one-time-key
 dance between the two authority servers: the device scores its peers,
-the dispatch server ranks them and splits them at a capacity threshold,
-and nothing readable leaks in between.
+the dispatch server ranks them and splits them at its own capacity
+threshold, and nothing readable leaks in between: only the server's
+notification sink ever sees a phone number.
 """
 
 from proximity_sim.authority import DispatchServer, DoctorCredential, KeyIssuer
@@ -42,17 +43,18 @@ print("the ledger alone is unreadable: it holds ciphertexts, never numbers")
 issuer = KeyIssuer(secret=b"issuer-demo-secret")
 notifications = []
 server = DispatchServer(
-    keyring={pair.key_tag: pair},
+    keypair=pair,
     issuer=issuer,
     secret=b"dispatch-demo-secret",
     notify=lambda contact, msg: notifications.append((contact, msg.level.value)),
+    capacity=2,
 )
 
 doctor = DoctorCredential("doctor-0007", certified=True)
-key = issuer.issue_activation_key(doctor, "user-0001", now=100.0)
+key = issuer.issue_activation_key(doctor, "user-0001")
 print(f"doctor obtains a one-time activation token: {key.token[:16]}...")
 
-result = alice.activate_alert_mode(key.token, server, now=100.0, capacity=2)
+result = alice.activate_alert_mode(key.token, server, now=100.0)
 print(f"upload accepted: {len(result.sent)} alerts sent, "
       f"{len(result.waitlisted)} waitlisted, tag {result.origin_tag}")
 print(f"  the server ranks priority scores (duration x closeness): capacity 2 "
@@ -71,8 +73,9 @@ except Exception as error:
     print(f"token replay refused: {error}")
 
 # the waitlisted contact goes out later, when capacity frees up
-promoted = server.release_waitlist(result.origin_tag, additional_capacity=1, now=200.0)
-print(f"waitlist release: {promoted[0].recipient_contact} notified later")
+server.release_waitlist(result.origin_tag, additional_capacity=1, now=200.0)
+contact, level = notifications[-1]
+print(f"waitlist release: {level} alert -> {contact} later")
 
 # round-trip sanity of the packing itself
 sample = encode_contact("+393330000002")

@@ -5,10 +5,13 @@ deployment: the issuer hands certified doctors single-use activation
 tokens bound to a patient id, and the dispatch server validates those
 tokens, ranks the uploaded encounter ledger, and fans out anonymous
 notifications in priority order under a capacity threshold.  The server
-decrypts an envelope only to notify its recipient, so the capacity
-overflow (the waiting list, keyed by an anonymous origin tag, with a
-bounded time to live) stays encrypted until it is released.  Nothing
-else survives a transaction.
+holds the one deployment key and sets the capacity itself; an uploading
+device chooses neither.  It decrypts an envelope only to notify its
+recipient, and hands the plaintext to the notification sink alone, so
+no result carries a phone number and the capacity overflow (the waiting
+list, keyed by an anonymous origin tag, with a bounded time to live)
+stays encrypted until it is released.  Nothing else survives a
+transaction.
 """
 
 from __future__ import annotations
@@ -64,8 +67,6 @@ class ActivationKey:
 
     token: str
     bound_user_id: str
-    issued_by: str
-    issued_at: float
     consumed: bool = False
 
 
@@ -113,7 +114,7 @@ class KeyIssuer:
         self.registry: dict[str, ActivationKey] = {}
 
     def issue_activation_key(
-        self, credential: DoctorCredential, user_id: str, now: float = 0.0
+        self, credential: DoctorCredential, user_id: str
     ) -> ActivationKey:
         if not credential.certified:
             raise NotCertified(f"credential {credential.doctor_id} is not certified")
@@ -121,21 +122,15 @@ class KeyIssuer:
         token = keyed_digest(
             self._secret, f"activation:{user_id}:{self._nonce}"
         ).hex()
-        key = ActivationKey(
-            token=token,
-            bound_user_id=user_id,
-            issued_by=credential.doctor_id,
-            issued_at=now,
-        )
+        key = ActivationKey(token=token, bound_user_id=user_id)
         self.registry[token] = key
         return key
 
 
-def _message(level: AlertLevel, origin_tag: str, now: float) -> AlertMessage:
+def _message(level: AlertLevel, origin_tag: str) -> AlertMessage:
     return AlertMessage(
         level=level,
         directions=RED_DIRECTIONS if level is AlertLevel.RED else YELLOW_DIRECTIONS,
-        issued_at=now,
         origin_tag=origin_tag,
     )
 
@@ -145,32 +140,35 @@ class _WaitlistBucket:
     records: list[DispatchRecord]  # still encrypted, in priority order
     created_at: float
     level: AlertLevel
-    notified: set[bytes]  # keyed digests of the contacts sent under the tag
 
 
 class DispatchServer:
     """Validates tokens, ranks uploads, dispatches anonymous alerts.
 
-    Only the envelopes of recipients it notifies are decrypted.
-    `notify` is called once per sent record with (recipient_contact,
-    AlertMessage); delivery is the caller's business.  Origin tags are
-    self-authenticating (sequence number plus keyed digest), so a red
-    tag authorises exactly one yellow fan-out hop without the server
-    remembering past dispatches.
+    The server holds one deployment keypair and its own `capacity`: each
+    dispatch notifies at most that many recipients (None: all of them)
+    and waitlists the rest.  Only the envelopes of recipients it notifies
+    are decrypted, and the plaintext goes nowhere but `notify`, called
+    once per sent record with (contact, AlertMessage); delivery is the
+    caller's business.  Origin tags are self-authenticating (sequence
+    number plus keyed digest), so a red tag authorises exactly one yellow
+    fan-out hop without the server remembering past dispatches.
     """
 
     def __init__(
         self,
-        keyring: dict[str, KeyPair],
+        keypair: KeyPair,
         issuer: KeyIssuer,
         secret: bytes,
         notify: Callable[[str, AlertMessage], None],
+        capacity: int | None = None,
         waitlist_ttl: float = float("inf"),
     ) -> None:
-        self._keyring = keyring
+        self._keypair = keypair
         self._issuer = issuer
         self._secret = secret
         self._notify = notify
+        self._capacity = capacity
         self._waitlist_ttl = waitlist_ttl
         self._sequence = 0
         self._waitlists: dict[str, _WaitlistBucket] = {}
@@ -213,27 +211,29 @@ class DispatchServer:
 
         Descending score, ties broken by the ciphertext's decimal string,
         so the order does not depend on the upload's.  Needs no
-        decryption: an envelope under an unknown key or outside [0, n)
-        cannot decrypt and is counted as a failure, and under one key
-        distinct ciphertexts are distinct contacts, so a repeated (key
-        tag, ciphertext) is the same recipient again.
+        decryption: an envelope under another key or outside [0, n)
+        cannot decrypt and is counted as a failure, and a repeated
+        ciphertext is the same recipient again.  RSA permutes [0, n) and
+        `encode_contact` is injective, so once repeats are gone no
+        recipient appears twice in the ranking.
         """
         ranked = sorted(
             scored_contacts, key=lambda sc: (-sc.score, str(sc.envelope.ciphertext))
         )
         failures = 0
-        seen: set[tuple[str, int]] = set()
+        seen: set[int] = set()
         kept: list[ScoredContact] = []
         for item in ranked:
             envelope = item.envelope
-            pair = self._keyring.get(envelope.key_tag)
-            if pair is None or not 0 <= envelope.ciphertext < pair.public.modulus:
+            if (
+                envelope.key_tag != self._keypair.key_tag
+                or not 0 <= envelope.ciphertext < self._keypair.public.modulus
+            ):
                 failures += 1
                 continue
-            key = (envelope.key_tag, envelope.ciphertext)
-            if key in seen:
+            if envelope.ciphertext in seen:
                 continue
-            seen.add(key)
+            seen.add(envelope.ciphertext)
             kept.append(item)
         return kept, failures
 
@@ -241,33 +241,25 @@ class DispatchServer:
         self,
         records: list[DispatchRecord],
         limit: int | None,
-        notified: set[bytes],
         message: AlertMessage,
     ) -> tuple[list[DispatchRecord], int, int]:
-        """Decrypt records in order and notify each new recipient until
+        """Decrypt records in order and notify each recipient until
         `limit` are sent.
 
-        A plaintext that is not a packed contact is a failure, and a
-        contact already in `notified` (keyed digests: the same peer under
-        a second key) is skipped.  Returns the sent records, how many
-        records were used up and how many failed.
+        A plaintext that is not a packed contact is a failure.  Returns
+        the sent records, how many records were used up and how many
+        failed.
         """
         sent: list[DispatchRecord] = []
         failures = position = 0
         while position < len(records) and (limit is None or len(sent) < limit):
             record = records[position]
             position += 1
-            envelope = record.envelope
             try:
-                contact = decode_contact(decrypt(self._keyring[envelope.key_tag], envelope))
+                contact = decode_contact(decrypt(self._keypair, record.envelope))
             except MalformedNumber:
                 failures += 1
                 continue
-            digest = keyed_digest(self._secret, contact)
-            if digest in notified:
-                continue
-            notified.add(digest)
-            record.recipient_contact = contact
             record.status = DispatchStatus.SENT
             self._notify(contact, message)
             sent.append(record)
@@ -276,15 +268,13 @@ class DispatchServer:
     def _dispatch(
         self,
         scored_contacts: list[ScoredContact],
-        capacity: int | None,
         level: AlertLevel,
         now: float,
     ) -> UploadResult:
-        """Send in priority order until `capacity` recipients are notified,
-        then waitlist the rest of the ranking undecrypted.
+        """Send in priority order until the server's capacity is used
+        up, then waitlist the rest of the ranking undecrypted.
 
-        A tail entry that would not decode, or that names a recipient
-        already sent under a second key, is therefore counted as
+        A tail entry that would not decode is therefore counted as
         waitlisted here and skipped when it is released.  A repeated
         envelope that would not decode counts as one failure, not one per
         copy.
@@ -294,20 +284,17 @@ class DispatchServer:
         tag = self._mint_origin_tag(level)
         pending = [
             DispatchRecord(
-                recipient_contact=None, level=level, score=item.score,
+                level=level, score=item.score,
                 status=DispatchStatus.WAITLISTED, envelope=item.envelope,
             )
             for item in ranked
         ]
-        notified: set[bytes] = set()
         sent, used, undecodable = self._send_in_order(
-            pending, capacity, notified, _message(level, tag, now)
+            pending, self._capacity, _message(level, tag)
         )
         overflow = pending[used:]
         if overflow:
-            self._waitlists[tag] = _WaitlistBucket(
-                records=overflow, created_at=now, level=level, notified=notified
-            )
+            self._waitlists[tag] = _WaitlistBucket(records=overflow, created_at=now, level=level)
         return UploadResult(
             origin_tag=tag, records=sent + overflow, decrypt_failures=failures + undecodable
         )
@@ -317,27 +304,25 @@ class DispatchServer:
         token: str,
         user_id: str,
         scored_contacts: list[ScoredContact],
-        capacity: int | None = None,
         now: float = 0.0,
     ) -> UploadResult:
         """Full red dispatch transaction for one uploaded ledger.
 
         Nothing is decrypted unless the activation token is accepted (and
-        thereby consumed).  Top-capacity recipients are decrypted and
-        notified, the rest are waitlisted, still encrypted, under the
-        transaction's anonymous origin tag.  Undecryptable entries are
-        skipped and counted.
+        thereby consumed).  The top recipients, up to the server's
+        capacity, are decrypted and sent alerts; the rest are waitlisted,
+        still encrypted, under the transaction's anonymous origin tag.
+        Undecryptable entries are skipped and counted.
         """
         outcome = self.validate_and_consume(token, user_id)
         if outcome is not ValidationOutcome.ACCEPTED:
             raise RejectedUpload(f"activation token rejected: {outcome.value}")
-        return self._dispatch(scored_contacts, capacity, AlertLevel.RED, now)
+        return self._dispatch(scored_contacts, AlertLevel.RED, now)
 
     def process_yellow_dispatch(
         self,
         red_origin_tag: str,
         scored_contacts: list[ScoredContact],
-        capacity: int | None = None,
         now: float = 0.0,
     ) -> UploadResult:
         """One-hop yellow fan-out, authorised by an authentic red tag.
@@ -347,7 +332,7 @@ class DispatchServer:
         """
         if not self._is_authentic_red_tag(red_origin_tag):
             raise UnknownOrigin(f"tag {red_origin_tag!r} is not an authentic red dispatch")
-        return self._dispatch(scored_contacts, capacity, AlertLevel.YELLOW, now)
+        return self._dispatch(scored_contacts, AlertLevel.YELLOW, now)
 
     # -- waiting lists ----------------------------------------------------------
 
@@ -358,8 +343,8 @@ class DispatchServer:
         stored priority order, under the original tag.
 
         Records are decrypted only here, one at a time; a record that does
-        not decode, or whose recipient was already notified under the tag,
-        is dropped without a notification and does not use capacity.
+        not decode is dropped without a notification and does not use
+        capacity.
         Lists past their time to live at `now` are dropped first, so a
         stale tag raises UnknownOrigin like one that never existed.
         """
@@ -368,10 +353,7 @@ class DispatchServer:
         if bucket is None:
             raise UnknownOrigin(f"no waiting list under tag {origin_tag!r}")
         promoted, used, _ = self._send_in_order(
-            bucket.records,
-            additional_capacity,
-            bucket.notified,
-            _message(bucket.level, origin_tag, now),
+            bucket.records, additional_capacity, _message(bucket.level, origin_tag)
         )
         del bucket.records[:used]
         if not bucket.records:

@@ -115,9 +115,12 @@ def _run_sweep(args: argparse.Namespace) -> int:
 def _run_world(args: argparse.Namespace) -> int:
     run = _load_config(args)
     trace = None
-    if run.trace_file:
-        trace = parse_contact_trace(Path(run.trace_file).read_text())
-    world = World(run.world_config, seed=args.seed, trace=trace)
+    try:
+        if run.trace_file:
+            trace = parse_contact_trace(Path(run.trace_file).read_text())
+        world = World(run.world_config, seed=args.seed, trace=trace)
+    except ValueError as exc:  # a malformed trace or one the config cannot hold
+        raise ValidationError(str(exc)) from exc
     world.run()
     args.out.mkdir(parents=True, exist_ok=True)
     encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps builds per call

@@ -119,7 +119,6 @@ class DeviceState:
         self.own_contact = own_contact
         self.mode = DeviceMode.TRACKING
         self.ledger = ProximalContactList(retention_window=retention_window)
-        self.received: list[AlertMessage] = []
         self.yellow_enabled = yellow_enabled
         self.tested_positive = False
         self.tracking_threshold = tracking_threshold
@@ -197,13 +196,13 @@ class DeviceState:
         token: str,
         server: "authority.DispatchServer",
         now: float,
-        capacity: int | None = None,
     ) -> "authority.UploadResult":
         """Switch to alert mode through a one-time activation token.
 
         On success every scored peer is uploaded; the server ranks them
-        and applies the capacity threshold.  On rejection or transport
-        failure the device is left in tracking mode.
+        and applies its own capacity threshold, which the device cannot
+        set.  On rejection or transport failure the device is left in
+        tracking mode.
         """
         if self.mode is not DeviceMode.TRACKING:
             raise ValueError("device is already in alert mode")
@@ -212,7 +211,6 @@ class DeviceState:
                 token=token,
                 user_id=self.user_id,
                 scored_contacts=self.scored_contacts(now),
-                capacity=capacity,
                 now=now,
             )
         except authority.RejectedUpload as exc:
@@ -226,13 +224,12 @@ class DeviceState:
     def handle_notification(
         self, message: AlertMessage, now: float
     ) -> YellowDispatchRequest | None:
-        """Log an incoming alert; a red alert may trigger yellow fan-out.
+        """Take an incoming alert; a red alert may trigger yellow fan-out.
 
         The fan-out request is returned (not sent) and carries this
-        device's own scored peers.  Yellow alerts are logged and never
-        forwarded, bounding the cascade at one hop.
+        device's own scored peers.  Yellow alerts are never forwarded,
+        bounding the cascade at one hop.
         """
-        self.received.append(message)
         if (
             message.level is AlertLevel.RED
             and self.yellow_enabled

@@ -39,7 +39,6 @@ class AlertMessage:
 
     level: AlertLevel
     directions: str
-    issued_at: float
     origin_tag: str
 
 
@@ -60,11 +59,11 @@ class DispatchStatus(Enum):
 class DispatchRecord:
     """Server-side outcome for one ranked recipient.
 
-    A waitlisted record holds only its envelope: the server decrypts it,
-    and fills in `recipient_contact`, when the record is sent.
+    A record names its recipient only by envelope, sent or waitlisted:
+    the server decrypts a sent record's envelope to notify its recipient
+    and keeps no plaintext.
     """
 
-    recipient_contact: str | None
     level: AlertLevel
     score: float
     status: DispatchStatus

@@ -231,7 +231,9 @@ def parse_contact_trace(text: str) -> list[tuple[int, int, float, float, float]]
     """Parse a replayed contact trace.
 
     One interval per line: agent_a,agent_b,start_s,end_s,true_distance_m.
-    Blank lines and '#' comments are skipped.
+    Blank lines and '#' comments are skipped.  Agent ids must be
+    nonnegative integers and times and distances finite numbers; a bad
+    line raises ValueError naming its line number.
     """
     intervals = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -241,8 +243,15 @@ def parse_contact_trace(text: str) -> list[tuple[int, int, float, float, float]]
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 5:
             raise ValueError(f"trace line {lineno}: expected 5 fields, got {len(parts)}")
-        a, b = int(parts[0]), int(parts[1])
-        start, end, distance = float(parts[2]), float(parts[3]), float(parts[4])
+        try:
+            a, b = int(parts[0]), int(parts[1])
+            start, end, distance = float(parts[2]), float(parts[3]), float(parts[4])
+        except ValueError as exc:
+            raise ValueError(f"trace line {lineno}: {exc}") from None
+        if a < 0 or b < 0:
+            raise ValueError(f"trace line {lineno}: negative agent id")
+        if not all(math.isfinite(v) for v in (start, end, distance)):
+            raise ValueError(f"trace line {lineno}: non-finite time or distance")
         if a == b or start >= end or distance <= 0:
             raise ValueError(f"trace line {lineno}: inconsistent interval")
         intervals.append((min(a, b), max(a, b), start, end, distance))
@@ -278,11 +287,16 @@ class World:
         self.rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 0)))
         self.keypair = keypair or generate_keypair(derive_seed(seed, 1), config.key_bits)
         if trace is not None:
-            highest = max(max(a, b) for a, b, *_ in trace) if trace else 0
-            if highest >= config.agent_count:
-                raise ValueError(
-                    f"trace names agent {highest}, config has {config.agent_count}"
-                )
+            for agent in (i for a, b, *_ in trace for i in (a, b)):
+                if not 0 <= agent < config.agent_count:
+                    raise ValueError(
+                        f"trace names agent {agent}, config has {config.agent_count}"
+                    )
+            # a pair live twice in one tick would be sensed and exposed twice
+            spans = sorted((min(a, b), max(a, b), start, end) for a, b, start, end, _ in trace)
+            for (a, b, _, end), (c, d, start, _) in zip(spans, spans[1:]):
+                if (a, b) == (c, d) and start < end:
+                    raise ValueError(f"trace has overlapping intervals for agents {a} and {b}")
         self.trace = trace
         self.t = 0.0
         self.last_tick_t: float | None = None  # the t at which tick() last ran
@@ -295,10 +309,11 @@ class World:
         self._outbox: list[tuple[str, AlertMessage]] = []
         outbox = self._outbox
         self.dispatch_server = DispatchServer(
-            keyring={self.keypair.key_tag: self.keypair},
+            keypair=self.keypair,
             issuer=self.issuer,
             secret=keyed_digest(seed, "dispatch-secret"),
             notify=lambda contact, message: outbox.append((contact, message)),
+            capacity=config.dispatch_capacity,
             waitlist_ttl=config.incubation_seconds,
         )
         self.doctor = DoctorCredential(doctor_id="doctor-0001", certified=True)
@@ -609,25 +624,20 @@ class World:
                 self._run_activation(agent)
 
     def _run_activation(self, agent: Agent) -> None:
-        cfg = self.config
         device = agent.device
         self._log(
             type="key_request", t=self.t, doctor=self.doctor.doctor_id,
             user_id=device.user_id,
         )
-        key = self.issuer.issue_activation_key(self.doctor, device.user_id, now=self.t)
+        key = self.issuer.issue_activation_key(self.doctor, device.user_id)
         self._log(type="key_issued", t=self.t, user_id=device.user_id, token=key.token)
-        result = device.activate_alert_mode(
-            key.token, self.dispatch_server, now=self.t,
-            capacity=cfg.dispatch_capacity,
-        )
+        result = device.activate_alert_mode(key.token, self.dispatch_server, now=self.t)
         self._record_and_deliver(agent.id, result, AlertLevel.RED, token=key.token)
 
     def _run_yellow(self, requester_id: int, request: YellowDispatchRequest) -> None:
         result = self.dispatch_server.process_yellow_dispatch(
             red_origin_tag=request.red_origin_tag,
             scored_contacts=request.contacts,
-            capacity=self.config.dispatch_capacity,
             now=self.t,
         )
         self._record_and_deliver(requester_id, result, AlertLevel.YELLOW, token="")
@@ -818,7 +828,7 @@ def false_alert_rate(log: list[dict], infection_range: float) -> float:
             reds.append(event)
     if not reds:
         raise EmptyLog("no red notifications in the log")
-    # the log may hold millions of encounters: index only the notified pairs
+    # the log may hold millions of encounters: index only the pairs red alerts name
     encounters: dict[tuple[int, int], list[tuple[float, float, float]]] = {
         (notify["uploader"], notify["recipient"]): [] for notify in reds
     }

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +169,32 @@ class TestWorldCommand:
         encounters = [e for e in events if e["type"] == "encounter"]
         assert len(encounters) == 2
         assert encounters[0]["end"] - encounters[0]["start"] == pytest.approx(300.0)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0,9,0,300,2.0", "trace names agent 9, config has 2"),
+            ("-1,0,0,300,2.0", "trace line 1: negative agent id"),
+            ("0,1,0,50,abc", "trace line 1: could not convert"),
+        ],
+    )
+    def test_bad_trace_is_a_configuration_error(self, tmp_path, line, message):
+        trace = tmp_path / "contacts.csv"
+        trace.write_text(line + "\n")
+        config = tmp_path / "world.cfg"
+        config.write_text(f"agent_count=2\ninitial_infected=1\nkey_bits=32\ntrace_file={trace}\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "proximity_sim.cli", "world", "--config", str(config),
+             "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert f"configuration error: {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 def test_crypto_selftest_reports_toy_vector(capsys):

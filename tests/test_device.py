@@ -42,14 +42,15 @@ def envelope_for(test_keypair, contact: str):
     return encrypt(test_keypair.public, encode_contact(contact))
 
 
-def make_stack(test_keypair, notifications=None):
+def make_stack(test_keypair, capacity=None):
     issuer = KeyIssuer(secret=b"issuer")
-    sink = notifications if notifications is not None else []
+    sink = []
     server = DispatchServer(
-        keyring={test_keypair.key_tag: test_keypair},
+        keypair=test_keypair,
         issuer=issuer,
         secret=b"dispatch",
         notify=lambda contact, msg: sink.append((contact, msg)),
+        capacity=capacity,
     )
     return issuer, server, sink
 
@@ -193,8 +194,21 @@ class TestActivation:
         result = device.activate_alert_mode(key.token, server, now=700.0)
         assert device.mode is DeviceMode.ALERT
         assert device.tested_positive
-        assert [r.recipient_contact for r in result.sent] == ["+20001"]
-        assert sink and sink[0][0] == "+20001"
+        assert len(result.sent) == 1 and not result.waitlisted
+        assert [contact for contact, _ in sink] == ["+20001"]
+
+    def test_server_capacity_bounds_the_upload(self, test_keypair):
+        issuer, server, sink = make_stack(test_keypair, capacity=1)
+        device = make_device()
+        for contact in ("+20001", "+20002", "+20003"):
+            device.record_encounter(envelope_for(test_keypair, contact), 0.0, 600.0, -60.0, 1.0)
+        key = issuer.issue_activation_key(DoctorCredential("doc", True), device.user_id)
+        # the device has no way to ask for a wider fan-out
+        with pytest.raises(TypeError):
+            device.activate_alert_mode(key.token, server, now=700.0, capacity=None)
+        result = device.activate_alert_mode(key.token, server, now=700.0)
+        assert len(sink) == 1
+        assert len(result.sent) == 1 and len(result.waitlisted) == 2
 
     def test_consumed_token_rejected_second_time(self, test_keypair):
         issuer, server, _ = make_stack(test_keypair)
@@ -249,10 +263,10 @@ class TestActivation:
 
 class TestNotifications:
     def red(self, tag="00000001-aabbccdd"):
-        return AlertMessage(AlertLevel.RED, RED_DIRECTIONS, issued_at=0.0, origin_tag=tag)
+        return AlertMessage(AlertLevel.RED, RED_DIRECTIONS, origin_tag=tag)
 
     def yellow(self):
-        return AlertMessage(AlertLevel.YELLOW, YELLOW_DIRECTIONS, issued_at=0.0,
+        return AlertMessage(AlertLevel.YELLOW, YELLOW_DIRECTIONS,
                             origin_tag="00000002-eeff0011")
 
     def test_red_with_yellow_enabled_requests_fanout(self, test_keypair):
@@ -262,13 +276,11 @@ class TestNotifications:
         assert request is not None
         assert request.red_origin_tag == "00000001-aabbccdd"
         assert len(request.contacts) == 1
-        assert device.received[-1].level is AlertLevel.RED
 
-    def test_red_without_yellow_enabled_only_logs(self, test_keypair):
+    def test_red_without_yellow_enabled_requests_nothing(self, test_keypair):
         device = make_device(yellow_enabled=False)
         device.record_encounter(envelope_for(test_keypair, "+20001"), 0.0, 60.0, -60.0, 1.0)
         assert device.handle_notification(self.red(), now=100.0) is None
-        assert len(device.received) == 1
 
     def test_yellow_never_forwarded(self, test_keypair):
         device = make_device(yellow_enabled=True)

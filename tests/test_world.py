@@ -135,10 +135,28 @@ class TestTraceReplay:
             parse_contact_trace("0,0,0,300,2\n")
         with pytest.raises(ValueError):
             parse_contact_trace("0,1,300,300,2\n")
+        with pytest.raises(ValueError, match="line 1: negative agent id"):
+            parse_contact_trace("-1,0,0,300,2\n")
+        for bad in ("0,1,nan,300,2", "0,1,0,nan,2", "0,1,0,300,nan", "0,1,0,inf,2",
+                    "0,1,0,300,inf"):
+            with pytest.raises(ValueError, match="line 2: non-finite"):
+                parse_contact_trace("# header\n" + bad + "\n")
+        with pytest.raises(ValueError, match="line 2: could not convert string to float"):
+            parse_contact_trace("0,1,0,50,2\n0,1,0,50,abc\n")
+        with pytest.raises(ValueError, match="line 1: invalid literal for int"):
+            parse_contact_trace("a,1,0,50,2\n")
 
     def test_trace_agent_ids_validated(self):
         with pytest.raises(ValueError):
             small_world(trace=[(0, 5, 0.0, 10.0, 2.0)])
+        with pytest.raises(ValueError, match="agent -1"):
+            small_world(trace=[(-1, 1, 0.0, 10.0, 2.0)])
+
+    def test_overlapping_intervals_of_a_pair_rejected(self):
+        with pytest.raises(ValueError, match="overlapping intervals for agents 0 and 1"):
+            small_world(trace=[(0, 1, 0.0, 100.0, 2.0), (1, 0, 50.0, 150.0, 2.0)])
+        # back to back is not an overlap
+        small_world(trace=[(0, 1, 0.0, 100.0, 2.0), (0, 1, 100.0, 150.0, 2.0)])
 
     def test_static_pair_records_single_entry_per_side(self):
         world = small_world(static_pair_trace(2.0, 300.0))
