@@ -49,7 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    text = args.config.read_text() if args.config else ""
+    try:
+        text = args.config.read_text() if args.config else ""
+    except OSError as exc:  # a missing or unreadable config file
+        raise ValidationError(str(exc)) from exc
     return parse_config(text, command=args.command)
 
 
@@ -119,7 +122,7 @@ def _run_world(args: argparse.Namespace) -> int:
         if run.trace_file:
             trace = parse_contact_trace(Path(run.trace_file).read_text())
         world = World(run.world_config, seed=args.seed, trace=trace)
-    except ValueError as exc:  # a malformed trace or one the config cannot hold
+    except (OSError, ValueError) as exc:  # a trace that cannot be read, parsed or held
         raise ValidationError(str(exc)) from exc
     world.run()
     args.out.mkdir(parents=True, exist_ok=True)
@@ -228,9 +231,6 @@ def run_command(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except (ParseError, ValidationError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,7 @@ import hmac
 import math
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 __all__ = [
     "KeyPair",
@@ -79,9 +79,9 @@ class PublicKey:
     modulus: int
     exponent: int
 
-    @property
+    @cached_property
     def key_tag(self) -> str:
-        """Short stable fingerprint of this public key."""
+        """Short stable fingerprint of this public key, hashed on first read."""
         material = b"pub:%d:%d" % (self.modulus, self.exponent)
         return hashlib.sha256(material).hexdigest()[:16]
 

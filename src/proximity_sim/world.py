@@ -261,8 +261,13 @@ def parse_contact_trace(text: str) -> list[tuple[int, int, float, float, float]]
 class World:
     """Deterministic tick-driven micro-world.
 
-    A single seeded generator drives motion, radio noise, and infection;
-    identical (config, seed, trace) inputs replay identical event logs.
+    Each concern draws from its own generator, seeded by
+    derive_seed(seed, k): k=0 placement and motion, k=1 the keypair, k=2
+    adoption and the initial infections, k=3 sensing noise, k=4
+    transmission.  A draw in one phase shifts no other phase's stream, so
+    identical (config, seed, trace) inputs replay identical event logs,
+    and a replayed trace of a run's own contacts, which draws no motion,
+    reproduces that run.
 
     Quarantine is strict for transmission and motion only: a detected agent
     stops moving and infects no one, but still takes part in the contact
@@ -284,7 +289,9 @@ class World:
         trace: list[tuple[int, int, float, float, float]] | None = None,
     ) -> None:
         self.config = config
-        self.rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 0)))
+        self._motion, population, self._sensing, self._transmission = (
+            np.random.Generator(np.random.PCG64(derive_seed(seed, k))) for k in (0, 2, 3, 4)
+        )
         self.keypair = keypair or generate_keypair(derive_seed(seed, 1), config.key_bits)
         if trace is not None:
             for agent in (i for a, b, *_ in trace for i in (a, b)):
@@ -297,6 +304,11 @@ class World:
             for (a, b, _, end), (c, d, start, _) in zip(spans, spans[1:]):
                 if (a, b) == (c, d) and start < end:
                     raise ValueError(f"trace has overlapping intervals for agents {a} and {b}")
+            # replayed in one sweep: the nonempty intervals in range, popped as they begin
+            reach = config.radio.max_radio_range
+            in_range = (iv for iv in trace if iv[2] < iv[3] and iv[4] <= reach)
+            self._upcoming = sorted(in_range, key=lambda iv: iv[2], reverse=True)
+            self._live: dict[tuple[int, int], tuple[float, float]] = {}  # (a, b) -> (end, d)
         self.trace = trace
         self.t = 0.0
         self.last_tick_t: float | None = None  # the t at which tick() last ran
@@ -320,14 +332,14 @@ class World:
 
         n = config.agent_count
         if trace is None:
-            self._positions = self.rng.random((n, 2)) * config.box_size
-            self._waypoints = self.rng.random((n, 2)) * config.box_size
-            self._speeds = self.rng.uniform(config.speed_min, config.speed_max, n)
+            self._positions = self._motion.random((n, 2)) * config.box_size
+            self._waypoints = self._motion.random((n, 2)) * config.box_size
+            self._speeds = self._motion.uniform(config.speed_min, config.speed_max, n)
         else:
             self._positions = self._waypoints = self._speeds = None
-        has_app = self.rng.random(n) < config.app_user_fraction
+        has_app = population.random(n) < config.app_user_fraction
         self._has_app = has_app
-        seeds = self.rng.choice(n, size=config.initial_infected, replace=False)
+        seeds = population.choice(n, size=config.initial_infected, replace=False)
         self._health = np.full(n, _SUSCEPTIBLE, dtype=np.int8)
         self._health[seeds] = _INFECTED
         self._infected_at = np.full(n, np.nan)
@@ -374,64 +386,44 @@ class World:
     # -- per-tick phases ----------------------------------------------------
 
     def _move(self) -> None:
-        """Advance every agent towards its waypoint by speed * tick.
-
-        The result and the generator stream are those of the per-agent
-        loop that walks leg by leg and draws `rng.random(2) * box` for
-        each waypoint it reaches, agent by agent in id order:
-        - detected agents and agents with at most 1e-12 m to go stay put,
-          as the loop never enters its body for them;
-        - an agent that stops short of its waypoint draws nothing, and
-          its new position takes the loop's one step with the same float
-          operations (np.hypot, the division, the product and the sum)
-          applied elementwise;
-        - the few agents that reach their waypoint then run the loop
-          itself, in id order, so the draws come in the loop's order.
-        """
-        dt = self.config.tick_seconds
-        box = self.config.box_size
+        """Advance every agent that is not detected by speed * tick of
+        path, leg by leg: each round, the agents that reach their waypoint
+        draw their next ones in one batch and walk on with what is left."""
         positions, waypoints = self._positions, self._waypoints
-        remaining = self._speeds * dt
-        leg = waypoints - positions
-        gap = np.hypot(leg[:, 0], leg[:, 1])
-        moving = (self._health != _DETECTED) & (remaining > 1e-12)
-        short = moving & (gap > remaining)
-        positions[short] += leg[short] * (remaining[short] / gap[short])[:, None]
-        for i in np.flatnonzero(moving & ~short).tolist():
-            position, waypoint = positions[i].copy(), waypoints[i].copy()
-            left = remaining[i]
-            while left > 1e-12:
-                leg_i = waypoint - position
-                gap_i = float(np.hypot(leg_i[0], leg_i[1]))
-                if gap_i <= left:
-                    position = waypoint
-                    waypoint = self.rng.random(2) * box
-                    left -= gap_i
-                else:
-                    position = position + leg_i * (left / gap_i)
-                    left = 0.0
-            positions[i], waypoints[i] = position, waypoint
+        left = np.where(self._health == _DETECTED, 0.0, self._speeds * self.config.tick_seconds)
+        walking = np.flatnonzero(left > 1e-12)
+        while len(walking):
+            leg = waypoints[walking] - positions[walking]
+            gap = np.hypot(leg[:, 0], leg[:, 1])
+            reach = gap <= left[walking]
+            short = walking[~reach]
+            positions[short] += leg[~reach] * (left[short] / gap[~reach])[:, None]
+            walking = walking[reach]
+            left[walking] -= gap[reach]
+            positions[walking] = waypoints[walking]
+            waypoints[walking] = self._motion.random((len(walking), 2)) * self.config.box_size
+            walking = walking[left[walking] > 1e-12]
 
     def _contacts(self) -> _Contacts:
         """Pairs in radio range this tick, as three arrays: the lower and
         the higher agent index and the true distance, in (i, j) order."""
-        radio_range = self.config.radio.max_radio_range
         if self.trace is not None:
-            live = sorted(
-                (a, b, d)
-                for (a, b, start, end, d) in self.trace
-                if start <= self.t < end and d <= radio_range
-            )
-            return (
-                np.array([c[0] for c in live], dtype=np.intp),
-                np.array([c[1] for c in live], dtype=np.intp),
-                np.array([c[2] for c in live], dtype=float),
-            )
+            # admit the intervals that have begun and drop those that have
+            # ended: t never decreases, and a pair is live once at a time
+            upcoming, live = self._upcoming, self._live
+            while upcoming and upcoming[-1][2] <= self.t:
+                a, b, _, end, d = upcoming.pop()
+                live[a, b] = (end, d)
+            for pair in [pair for pair, (end, _) in live.items() if end <= self.t]:
+                del live[pair]
+            pairs = sorted(live)
+            first, second = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+            return first, second, np.array([live[pair][1] for pair in pairs], dtype=float)
         positions = self._positions
         first, second = self._candidate_pairs(positions)
         deltas = positions[first] - positions[second]
         dist = np.sqrt((deltas**2).sum(axis=1))
-        near = dist <= radio_range
+        near = dist <= self.config.radio.max_radio_range
         first, second, dist = first[near], second[near], dist[near]
         order = np.argsort(first * len(positions) + second)
         return first[order], second[order], dist[order]
@@ -494,17 +486,18 @@ class World:
         threshold.
 
         The result is exactly that of one scalar rssi_at_distance(d, radio,
-        rng) call per direction, in recorder/peer order (a, b) then (b, a):
-        - nothing else draws from the generator in between, and one
-          batched normal(0, sigma, size=2m) call yields the same numbers
-          and the same generator state as 2m scalar calls;
-        - numpy's log10 and power may differ from the scalar math in the
-          last bits, so the vectorised estimate only drops directions
-          beyond the threshold by a relative margin of 1e-9, far wider
-          than that difference;
+        sensing) call per direction, in recorder/peer order (a, b) then
+        (b, a), on the world's sensing stream:
+        - one batched normal(0, sigma, size=2m) call yields the same
+          numbers and the same generator state as 2m scalar calls;
+        - numpy's log10 and power take SIMD paths chosen at run time for
+          the CPU, whose results may differ from the scalar math, and from
+          each other, in the last bits; so the vectorised estimate only
+          drops directions beyond the threshold by a relative margin of
+          1e-9, far wider than that difference;
         - each remaining direction recomputes its RSSI and estimate with
           the scalar functions and decides against the threshold as a
-          scalar loop would, in the original order.
+          scalar loop would, so outputs are identical on every CPU.
         """
         cfg = self.config
         radio = cfg.radio
@@ -516,7 +509,7 @@ class World:
         peers = np.column_stack([second, first]).ravel()
         distances = np.repeat(dist, 2)
         if radio.noise_sigma > 0:
-            noise = self.rng.normal(0.0, radio.noise_sigma, size=len(distances))
+            noise = self._sensing.normal(0.0, radio.noise_sigma, size=len(distances))
         else:
             noise = np.zeros(len(distances))
         with np.errstate(divide="ignore"):  # a zero distance raises below
@@ -584,32 +577,27 @@ class World:
         )
 
     def _transmit(self, contacts: _Contacts) -> None:
+        """Draw one uniform per pair that exposes a susceptible agent to an
+        infectious one; each target is infected by its first successful
+        exposure in pair order."""
         cfg = self.config
         p_tick = 1.0 - (1.0 - cfg.infection_prob_per_second) ** cfg.tick_seconds
         infectious = self._health == _INFECTED
         susceptible = self._health == _SUSCEPTIBLE
         first, second, dist = contacts
-        exposed = (dist <= cfg.infection_range) & (
-            (infectious[first] & susceptible[second])
-            | (infectious[second] & susceptible[first])
-        )
-        pending: list[tuple[int, int, float]] = []
-        claimed: set[int] = set()
-        for a, b, true_d in zip(
-            first[exposed].tolist(), second[exposed].tolist(), dist[exposed].tolist()
-        ):
-            source, target = (a, b) if infectious[a] else (b, a)
-            if target in claimed:
-                continue
-            if self.rng.random() < p_tick:
-                pending.append((source, target, true_d))
-                claimed.add(target)
-        for source, target, true_d in pending:
-            self._health[target] = _INFECTED
-            self._infected_at[target] = self.t
+        forward = infectious[first] & susceptible[second]
+        backward = infectious[second] & susceptible[first]
+        hit = np.flatnonzero((dist <= cfg.infection_range) & (forward | backward))
+        hit = hit[self._transmission.random(len(hit)) < p_tick]
+        source = np.where(forward[hit], first[hit], second[hit])
+        target = np.where(forward[hit], second[hit], first[hit])
+        firsts = np.sort(np.unique(target, return_index=True)[1])
+        for i in firsts.tolist():
+            self._health[target[i]] = _INFECTED
+            self._infected_at[target[i]] = self.t
             self._log(
-                type="infection", t=self.t, source=source, target=target,
-                distance=true_d,
+                type="infection", t=self.t, source=int(source[i]), target=int(target[i]),
+                distance=float(dist[hit[i]]),
             )
 
     def _detect_and_alert(self) -> None:

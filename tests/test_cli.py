@@ -91,6 +91,12 @@ class TestEpidemicCommand:
     def test_missing_config_file(self, tmp_path):
         assert run_command(["epidemic", "--config", str(tmp_path / "nope.cfg")]) == 1
 
+    @pytest.mark.parametrize("command", ["epidemic", "world"])
+    def test_config_directory_is_a_configuration_error(self, tmp_path, capsys, command):
+        assert run_command([command, "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(tmp_path) in err
+
     def test_cap_abort_exit_code(self, tmp_path, capsys):
         config = tmp_path / "tiny.cfg"
         config.write_text("max_active=40\nreplicates=2\nhorizon_days=40\n")
@@ -169,6 +175,15 @@ class TestWorldCommand:
         encounters = [e for e in events if e["type"] == "encounter"]
         assert len(encounters) == 2
         assert encounters[0]["end"] - encounters[0]["start"] == pytest.approx(300.0)
+
+    def test_trace_directory_is_a_configuration_error(self, tmp_path, capsys):
+        config = tmp_path / "world.cfg"
+        config.write_text(f"agent_count=2\ninitial_infected=1\ntrace_file={tmp_path}\n")
+        out = tmp_path / "out"
+        assert run_command(["world", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(tmp_path) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "line, message",

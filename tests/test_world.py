@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from proximity_sim.authority import UnknownOrigin
 from proximity_sim.cli import run_command
+from proximity_sim.config import parse_config
 from proximity_sim.crypto import decode_contact, decrypt, keypair_from_primes
 from proximity_sim.world import (
     EmptyLog,
@@ -23,6 +24,8 @@ from proximity_sim.world import (
     World,
     WorldConfig,
     _DETECTED,
+    _INFECTED,
+    _SUSCEPTIBLE,
     estimate_distance,
     false_alert_rate,
     global_ledger_view,
@@ -178,6 +181,27 @@ class TestTraceReplay:
         entries = world.agents[0].device.ledger.entries
         assert len(entries) == 1
         assert entries[0].estimated_distance == pytest.approx(8.0, rel=1e-9)
+
+    def test_sweep_equals_the_per_tick_filter(self):
+        # random back-to-back and gapped intervals, some beyond radio range
+        # and some on 0.7 s tick boundaries, against the filter the sweep
+        # replaced
+        rng = np.random.default_rng(11)
+        ticks = [0.0]
+        while ticks[-1] < 60.0:
+            ticks.append(ticks[-1] + 0.7)  # the times the world ticks at
+        trace = []
+        for a, b in {tuple(sorted(rng.choice(30, 2, replace=False))) for _ in range(120)}:
+            p = np.sort(rng.choice(np.r_[rng.random(6) * 60.0, ticks], 5, replace=False)).tolist()
+            for start, end in ((p[0], p[1]), (p[1], p[2]), (p[3], p[4])):
+                trace.append((int(b), int(a), start, end, float(rng.random() * 14.0 + 0.5)))
+        world = small_world(trace, agent_count=30, tick_seconds=0.7, horizon_seconds=60.0)
+        radio_range = world.config.radio.max_radio_range
+        while world.t < 65.0:
+            expected = sorted((a, b, d) for a, b, start, end, d in trace
+                              if start <= world.t < end and d <= radio_range)
+            assert contact_tuples(world._contacts()) == expected
+            world.tick()
 
     def test_gap_tick_closes_and_reopens(self):
         trace = [(0, 1, 0.0, 100.0, 2.0), (0, 1, 200.0, 300.0, 2.0)]
@@ -509,7 +533,7 @@ class TestWaitlistInWorld:
     def test_waitlists_expire_on_later_dispatches(self):
         world = small_world(
             None,
-            seed=31,
+            seed=42,
             agent_count=24,
             box_size=30.0,
             infection_prob_per_second=0.01,
@@ -588,33 +612,24 @@ def test_detected_agents_do_not_move():
     assert positions_after_detection
 
 
-def reference_move(positions, waypoints, speeds, detected, dt, box, rng) -> list[int]:
-    """The per-agent motion loop the vectorised _move replaced: the reference.
-    Moves the per-agent arrays in place; returns the waypoints each reached."""
-    reached = []
-    for i, speed in enumerate(speeds):
-        count = 0
-        remaining = 0.0 if detected[i] else speed * dt
-        while remaining > 1e-12:
-            leg = waypoints[i] - positions[i]
-            gap = float(np.hypot(leg[0], leg[1]))
-            if gap <= remaining:
-                positions[i] = waypoints[i]
-                waypoints[i] = rng.random(2) * box
-                remaining -= gap
-                count += 1
-            else:
-                positions[i] = positions[i] + leg * (remaining / gap)
-                remaining = 0.0
-        reached.append(count)
-    return reached
+class TiledRows:
+    """A motion stream that hands every agent drawing in one round the same
+    random row, so the test knows each waypoint an agent walked through."""
+
+    def __init__(self, seed: int) -> None:
+        self.rng = np.random.default_rng(seed)
+        self.rows: list[np.ndarray] = []
+
+    def random(self, size):
+        self.rows.append(self.rng.random(2))
+        return np.tile(self.rows[-1], (size[0], 1))
 
 
 @pytest.mark.parametrize(
     "box_size, speed_max, tick_seconds",
     [(50.0, 0.7, 10.0), (4.0, 2.0, 10.0), (30.0, 1.5, 0.7)],
 )
-def test_vectorised_move_equals_per_agent_loop(box_size, speed_max, tick_seconds):
+def test_each_agent_walks_speed_times_tick_of_path(box_size, speed_max, tick_seconds):
     n = 200
     world = small_world(
         None, seed=3, agent_count=n, box_size=box_size, speed_min=0.0,
@@ -622,25 +637,35 @@ def test_vectorised_move_equals_per_agent_loop(box_size, speed_max, tick_seconds
     )
     picks = np.random.default_rng(9)
     world._speeds[picks.random(n) < 0.1] = 0.0
-    positions = [a.position.copy() for a in world.agents]
-    waypoints = list(world._waypoints.copy())
-    speeds = world._speeds.tolist()
-    reference = np.random.Generator(np.random.PCG64())
-    reference.bit_generator.state = world.rng.bit_generator.state
+    world._motion = TiledRows(8)
     most = 0
     for step in range(40):
         if step % 10 == 5:  # quarantine a few agents between moves
             world._health[picks.choice(n, size=5, replace=False)] = _DETECTED
-        detected = [a.health is HealthState.DETECTED for a in world.agents]
-        most = max(most, *reference_move(
-            positions, waypoints, speeds, detected, tick_seconds, box_size, reference
-        ))
+        before, aims = world._positions.copy(), world._waypoints.copy()
+        world._motion.rows.clear()
         world._move()
-        assert np.array_equal(np.stack([a.position for a in world.agents]),
-                              np.stack(positions))
-        assert np.array_equal(world._waypoints, np.stack(waypoints))
-        assert world.rng.bit_generator.state == reference.bit_generator.state
-    assert sum(detected) > 5
+        drawn = [row * box_size for row in world._motion.rows]
+        for i in range(n):
+            position, aim = world._positions[i], world._waypoints[i]
+            stride = world._speeds[i] * tick_seconds
+            if world._health[i] == _DETECTED or stride == 0.0:
+                assert np.array_equal(position, before[i]) and np.array_equal(aim, aims[i])
+                continue
+            # an agent that drew in a round drew in every round before it, so
+            # the round of its waypoint counts the waypoints it reached
+            rounds = [k + 1 for k, row in enumerate(drawn) if np.array_equal(aim, row)]
+            reached = rounds[0] if rounds else 0
+            corners = [before[i]] + ([aims[i]] + drawn[: reached - 1] if reached else [])
+            path = sum(math.dist(p, q) for p, q in zip(corners, corners[1:]))
+            path += math.dist(corners[-1], position)
+            assert path == pytest.approx(stride, rel=1e-9, abs=1e-9)
+            # it stops on the leg from the last corner to its waypoint
+            leg, done = aim - corners[-1], position - corners[-1]
+            assert abs(leg[0] * done[1] - leg[1] * done[0]) <= 1e-9 * (1.0 + leg @ leg)
+            assert done @ done <= leg @ leg * (1.0 + 1e-9)
+            most = max(most, reached)
+    assert np.count_nonzero(world._health == _DETECTED) > 5
     # several waypoints in one tick when a tick's stride outruns the box
     assert most > 1 if speed_max * tick_seconds > box_size else most >= 1
 
@@ -819,7 +844,7 @@ class TestSensingExactness:
             infection_range=0.01, tracking_threshold=threshold, radio=radio,
         )
         reference = np.random.Generator(np.random.PCG64())
-        reference.bit_generator.state = world.rng.bit_generator.state
+        reference.bit_generator.state = world._sensing.bit_generator.state
         expected = {}
         for a, b, _, _, d in trace:
             if world.agents[a].device is None or world.agents[b].device is None:
@@ -831,7 +856,7 @@ class TestSensingExactness:
                     expected[(recorder, peer)] = (rssi, est)
         world.tick()
         assert record_directions(world) == expected
-        assert world.rng.bit_generator.state == reference.bit_generator.state
+        assert world._sensing.bit_generator.state == reference.bit_generator.state
         if sigma == 0.0:  # within 1e-8 of the threshold, some record and some not
             edge = {
                 (a, b) in expected
@@ -843,22 +868,98 @@ class TestSensingExactness:
             assert edge == {True, False}
 
 
-    def test_margin_keeps_what_numpy_overestimates(self):
-        # a threshold equal to a scalar estimate that numpy's log10 and
-        # power put a few ulps higher: the scalar decision still records it
-        distances = np.linspace(0.5, 9.5, 2001)
-        rssi = NOISELESS.rssi_at_1m - 20.0 * np.log10(distances)
+    def test_margin_keeps_what_numpy_overestimates(self, monkeypatch):
+        # numpy's log10 may come out a few ulps above math.log10, and
+        # whether it does depends on the SIMD path numpy picks for the CPU;
+        # build that overestimate on every CPU: for a pair exactly at the
+        # threshold the vectorised estimate lands above it, and the scalar
+        # decision still records both directions
+        log10 = np.log10
+
+        def high_log10(x):
+            value = log10(x)
+            for _ in range(16):
+                value = np.nextafter(value, np.inf)
+            return value
+
+        monkeypatch.setattr(np, "log10", high_log10)
+        distance = 2.0
+        threshold = estimate_distance(rssi_at_distance(distance, NOISELESS), NOISELESS)
+        rssi = NOISELESS.rssi_at_1m - 20.0 * np.log10(np.array([distance]))
         rough = 10.0 ** ((NOISELESS.rssi_at_1m - rssi) / 20.0)
-        exact = [
-            estimate_distance(rssi_at_distance(d, NOISELESS), NOISELESS)
-            for d in distances.tolist()
-        ]
-        d, threshold = next(
-            (d, e) for d, r, e in zip(distances.tolist(), rough.tolist(), exact) if r > e
-        )
-        world = small_world(static_pair_trace(d, 10.0), tracking_threshold=threshold)
+        assert rough[0] > threshold
+        world = small_world(static_pair_trace(distance, 10.0), tracking_threshold=threshold)
         world.tick()
         assert set(record_directions(world)) == {(0, 1), (1, 0)}
+
+
+def normal_cdf(x: float) -> float:
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def test_sensing_law():
+    # one tick records a direction at true distance d with probability
+    # Phi(10 n log10(tau / d) / sigma): the shadowing must exceed the path
+    # loss between d and the threshold tau
+    radio, threshold, pairs = RadioModel(noise_sigma=2.0), 3.0, 400
+    grid = [1.5, 2.5, 3.0, 3.5, 4.5]
+    trace = [(2 * k, 2 * k + 1, 0.0, 10.0, d)
+             for k, d in enumerate(np.repeat(grid, pairs).tolist())]
+    world = small_world(trace, agent_count=2 * len(trace), tracking_threshold=threshold,
+                        radio=radio)
+    world.tick()
+    recorded = record_directions(world)
+    for g, d in enumerate(grid):
+        hits = sum((a, a ^ 1) in recorded for a in range(2 * g * pairs, 2 * (g + 1) * pairs))
+        p = normal_cdf(10.0 * radio.path_loss_exponent * math.log10(threshold / d)
+                       / radio.noise_sigma)
+        se = math.sqrt(p * (1.0 - p) / (2 * pairs))
+        assert abs(hits / (2 * pairs) - p) <= 3.0 * se, (d, hits, p)
+
+
+def test_transmission_law():
+    # a susceptible agent exposed to m infectious ones in a tick is infected
+    # with probability 1 - (1 - p)^m, once, by one of them
+    p_tick, targets = 0.3, 400
+    trace, groups, exposers, agent = [], {}, {}, 0
+    for m in (1, 2, 3):
+        groups[m] = range(agent, agent + targets * (m + 1), m + 1)
+        for target in groups[m]:
+            exposers[target] = set(range(target + 1, target + m + 1))
+            trace += [(target, source, 0.0, 10.0, 1.0) for source in exposers[target]]
+        agent += targets * (m + 1)
+    world = small_world(
+        trace, agent_count=agent, app_user_fraction=0.0, tick_seconds=10.0,
+        infection_prob_per_second=1.0 - (1.0 - p_tick) ** 0.1,
+    )
+    sources = sorted(set().union(*exposers.values()))
+    world._health[:] = _SUSCEPTIBLE
+    world._health[sources] = _INFECTED
+    world._infected_at[sources] = 0.0
+    world.tick()
+    infections = [e for e in world.events if e["type"] == "infection"]
+    infected = {e["target"] for e in infections}
+    assert len(infected) == len(infections)
+    assert all(e["source"] in exposers[e["target"]] for e in infections)
+    for m, members in groups.items():
+        p = 1.0 - (1.0 - p_tick) ** m
+        se = math.sqrt(p * (1.0 - p) / targets)
+        share = sum(target in infected for target in members) / targets
+        assert abs(share - p) <= 3.0 * se, (m, share, p)
+
+
+class RecordingWorld(World):
+    """Records each tick's contacts as trace intervals [t, t + tick)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.recorded: list[tuple[int, int, float, float, float]] = []
+
+    def _contacts(self):
+        contacts = super()._contacts()
+        end = self.t + self.config.tick_seconds
+        self.recorded += [(a, b, self.t, end, d) for a, b, d in contact_tuples(contacts)]
+        return contacts
 
 
 class PurgingWorld(World):
@@ -950,10 +1051,10 @@ class TestRetentionOnRead:
         assert stepped.device_snapshots() == world.device_snapshots()
 
 
-# sha256 of the five files `proximity-sim world` writes, pinned before the
-# cell-list contact search, batched sensing and purge-on-read replaced the
-# dense search, scalar sensing and per-tick purge (Python 3.11.7, numpy
-# 2.4.6); a world refactor that keeps behaviour keeps these digests.
+# sha256 of the five files `proximity-sim world` writes, pinned when the
+# world split its generator into one stream per phase (Python 3.11.7,
+# numpy 2.4.6, with and without numpy's AVX512 paths); a world refactor
+# that keeps behaviour keeps these digests.
 GOLDEN_WORLDS = {
     "acceptance-noiseless": (
         """
@@ -972,11 +1073,11 @@ GOLDEN_WORLDS = {
         """,
         2026,
         {
-            "bus_trace.jsonl": "04c3d3dc63a59eed8efa8a866c2becf6a247a7388a6fc1fe85019514e86fc3fa",
-            "devices.jsonl": "a80b6bf6e71d008e8c2f8aef4462ffc82a7107a54cecd6de00cefaea35244257",
-            "dispatch_log.csv": "aa35dbc947ed090155806f731e89391f28a9c4cc622fd2ecd55e67a0e3b3ba31",
-            "events.jsonl": "2950aec181a5d5f5ca652974f88515744a9bc03dd29b2d8df055412a367f7d44",
-            "false_alert_report.txt": "c0bffb92b92620afb724ea3ec3bac8b8463a11bf8bfc62be4b2aabc474643c22",
+            "bus_trace.jsonl": "3714acc03b14e38ab538094b1f53f286eb3ee690828d87a844507fb7403d48e0",
+            "devices.jsonl": "a51db6f10699be904e4d6f255a9e541d99e186935cb6d51798b09140722b1038",
+            "dispatch_log.csv": "29cd14594af31633b4c637bf8df0258aa9b90fa5106e585392462d7e9fdd6584",
+            "events.jsonl": "a31e9cc5c717a68841e52e26aa50a0b3fda67f75d32da1e5db49aa4063f5d417",
+            "false_alert_report.txt": "0ceb61713cc00975ef20fb9689d4de3a8d8c5b25e92a98584f371999c4bc1c0d",
         },
     ),
     "noisy-yellow-capacity": (
@@ -997,11 +1098,11 @@ GOLDEN_WORLDS = {
         """,
         7,
         {
-            "bus_trace.jsonl": "193fbeda1a3cbe4609fcae82765ba33425610dca4061b369301271f5ab00c4f1",
-            "devices.jsonl": "da5ba75acb44658e08d7aeb457ff756f9b4fe9a6a72cd4d5ec3b5afc9deb98d0",
-            "dispatch_log.csv": "cf6eb3615e3d5b01eba5f63042f3ca9cbfc9b018156095870facface0241e676",
-            "events.jsonl": "f8e7a160f908edff2d3c4bebecf525289f5a29da0c30defe277c45aaa635acba",
-            "false_alert_report.txt": "51cf0dde7dc566244b28b37077e94f921e59bd27ffa8ffc6530a59694ccd8ac0",
+            "bus_trace.jsonl": "b5dae9ef7590dfa70bbed82579ed2cdf993bab0cfe76bceb03bc7e87bf473c0e",
+            "devices.jsonl": "bc8809d218d789addc50e600560ed3af3e113465998ed4d4dc2e815e0acde310",
+            "dispatch_log.csv": "571743b29844d854f3fdc6cbfaadf6d6f9f6195924026f8022814eb7e129c921",
+            "events.jsonl": "b6dd4069c45735fd4966ec2eec82b3e6b055d215e0a717097e60434ab4996e3f",
+            "false_alert_report.txt": "38c6b20e6fe1eeaf785c8664d88016e6e6be7361692f4aff5c6c3a217d0683dc",
         },
     ),
     "short-tick": (
@@ -1017,11 +1118,11 @@ GOLDEN_WORLDS = {
         """,
         3,
         {
-            "bus_trace.jsonl": "cd43c452dee38e4b7794a939fa70b8a3129a25e2648eb363b8bf90c4ac27635d",
-            "devices.jsonl": "0d1b2fa7d0a575090f2529e62869e382ba54585812eb6f46d9bc6d08bf095b24",
-            "dispatch_log.csv": "62fd6ce0aec7d845ea49753de27e38502b6af35ca8df1072c56038e5417a93c0",
-            "events.jsonl": "60c5f3e6fb65a2bc54b83581a7d1938b4c87042defa279388d6ca93015d8ab9a",
-            "false_alert_report.txt": "245f998a5b7fdc7a8635114550d07973e5f73c14ac8e92e1be61e78711f44a6b",
+            "bus_trace.jsonl": "d3b22d68790123c498d222d9e6d9d0f438f15e387f6dd6db5937542995fcfeed",
+            "devices.jsonl": "4a1db925aba5524a978637980cefa64813f0b73bcee97a054f125111309432b4",
+            "dispatch_log.csv": "690eca72eaec61714bf2c8bc1fdafd5565cbaea1c89e44eb168c9e67827a8ac3",
+            "events.jsonl": "366cd068d19011ced8615b2e08b936b3f34b34a81f87adf490cf3f9072184a45",
+            "false_alert_report.txt": "fe7c4e6a818c9115e4f754c74538369fc69ae119a4bb4beebba2f5b3fe185b25",
         },
     ),
 }
@@ -1042,3 +1143,18 @@ def test_world_outputs_match_golden_digests(name, tmp_path, capsys):
         for path in sorted(out.iterdir())
     }
     assert written == digests
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WORLDS))
+def test_recorded_contacts_replay_their_run(name):
+    # motion has a stream of its own, so a replay of the run's own contacts,
+    # which draws no motion, draws everything else as the run did
+    text, seed, _ = GOLDEN_WORLDS[name]
+    config = parse_config(text, command="world").world_config
+    recorder = RecordingWorld(config, seed=seed)
+    recorder.run()
+    replay = World(config, seed=seed, trace=recorder.recorded)
+    replay.run()
+    assert {"infection", "encounter", "notify"} <= {e["type"] for e in recorder.events}
+    assert replay.events == recorder.events
+    assert replay.device_snapshots() == recorder.device_snapshots()
