@@ -193,13 +193,16 @@ def _run_crypto_selftest(args: argparse.Namespace) -> int:
         (pair.public.modulus, pair.public.exponent, pair.secret.exponent)
         == (3233, 17, 2753),
     )
-    check(
-        "CRT decrypt equals c^2753 mod 3233 for every c < 3233",
-        all(
-            crypto.decrypt(pair, crypto.Envelope(c, pair.key_tag)) == pow(c, 2753, 3233)
-            for c in range(3233)
-        ),
-    )
+    for primes, n, d in (((61, 53), 3233, 2753), ((61, 53, 59), 190747, 74513)):
+        key = crypto.keypair_from_primes(*primes, e=17)
+        check(
+            f"{len(primes)}-prime CRT decrypt equals c^{d} mod {n} for every c < {n}",
+            key.public.modulus == n
+            and all(
+                crypto.decrypt(key, crypto.Envelope(c, key.key_tag)) == pow(c, d, n)
+                for c in range(n)
+            ),
+        )
     ok = True
     for index in range(5):
         test_pair = crypto.generate_keypair(crypto.derive_seed(args.seed, index), 32)

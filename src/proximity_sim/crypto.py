@@ -2,13 +2,16 @@
 
 Textbook RSA over Python's arbitrary-precision integers: enough to make
 simulated ledgers opaque to their owners and to drive the key-escrow
-protocol, deliberately without padding or other hardening.  Decryption
-goes through the Chinese Remainder Theorem (two half-size
-exponentiations mod p and mod q, recombined), which gives the same
-integer as c^d mod n at about a third of the cost.  Security is still
-not a claim here: no padding, no blinding and no check against faulty
-half-results.  The contract that matters is decrypt(encrypt(m)) == m for
-every plaintext below the modulus, deterministically per seed.
+protocol, deliberately without padding or other hardening.  Keys are
+multi-prime in the sense of RFC 8017 section 3: the modulus is the
+product of u distinct primes (two at 32 bits, three at 2048, four at
+4096), and decryption goes through the Chinese Remainder Theorem (one
+exponentiation mod each prime, recombined by Garner's formula), which
+gives the same integer as c^d mod n at about a fifth of the cost for a
+three-prime 2048-bit key.  Security is still not a claim here: no
+padding, no blinding and no check against faulty partial results.  The
+contract that matters is decrypt(encrypt(m)) == m for every plaintext
+below the modulus, deterministically per seed.
 
 Also provides the reversible phone-number <-> integer packing used as
 envelope plaintext, and a keyed digest used for one-time activation
@@ -43,7 +46,10 @@ __all__ = [
     "derive_seed",
 ]
 
-SUPPORTED_KEY_BITS = (32, 2048, 4096)
+# primes per modulus: OpenSSL's multi-prime cap (2 below 1024 bits, 3
+# below 4096, 4 below 8192)
+PRIME_COUNT = {32: 2, 2048: 3, 4096: 4}
+SUPPORTED_KEY_BITS = tuple(PRIME_COUNT)
 
 MILLER_RABIN_ROUNDS = 40
 
@@ -88,16 +94,15 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class SecretKey:
-    """Private exponent d plus the CRT form of it: the primes p and q,
-    dp = d mod (p-1), dq = d mod (q-1) and q_inv = q^-1 mod p."""
+    """Private exponent d plus its RFC 8017 CRT form over u >= 2 primes:
+    the primes r_i, exponents d_i = d mod (r_i - 1) and coefficients
+    t_i = (r_1 * ... * r_(i-1))^-1 mod r_i, so t_1 = 1."""
 
     modulus: int
     exponent: int
-    p: int
-    q: int
-    dp: int
-    dq: int
-    q_inv: int
+    primes: tuple[int, ...]
+    exponents: tuple[int, ...]
+    coefficients: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -189,53 +194,58 @@ def generate_keypair(seed: int, bit_length: int) -> KeyPair:
     """Deterministic textbook RSA keypair from a seeded prime search.
 
     bit_length 32 is the fast test scale; 2048 and 4096 are the sizes
-    meant for scenario setup.  The public exponent is 65537, falling back
-    to 17 and then to fresh primes when the coprimality constraint with
-    lcm(p-1, q-1) fails.
+    meant for scenario setup.  The modulus is the product of
+    PRIME_COUNT[bit_length] distinct primes whose sizes sum to
+    bit_length (683, 683 and 682 bits at 2048), drawn in turn from one
+    seeded stream.  The public exponent is 65537, falling back to 17 and
+    then to fresh primes when the coprimality constraint with
+    lcm(r_i - 1) fails.
     """
     if bit_length not in SUPPORTED_KEY_BITS:
         raise ValueError(f"bit_length must be one of {SUPPORTED_KEY_BITS}, got {bit_length}")
     rand = random.Random(seed)
-    half = bit_length // 2
+    count = PRIME_COUNT[bit_length]
+    sizes = [bit_length // count + (i < bit_length % count) for i in range(count)]
     for _ in range(64):
-        p = _random_prime(half, rand)
-        q = _random_prime(half, rand)
-        if p == q:
+        primes = tuple(_random_prime(bits, rand) for bits in sizes)
+        if len(set(primes)) < count:
             continue
-        lam = math.lcm(p - 1, q - 1)
+        lam = math.lcm(*(r - 1 for r in primes))
         for e in (65537, 17):
             if math.gcd(e, lam) == 1:
-                return _keypair(p, q, e, pow(e, -1, lam))
+                return _keypair(primes, e, pow(e, -1, lam))
     raise KeygenFailure(f"no usable exponent after bounded retries (seed={seed})")
 
 
-def keypair_from_primes(p: int, q: int, e: int = 17) -> KeyPair:
-    """Build a keypair from fixed primes (textbook phi-based construction).
+def keypair_from_primes(*primes: int, e: int = 17) -> KeyPair:
+    """Build a keypair from two or more fixed primes (textbook phi-based d).
 
-    Used for frozen test vectors, e.g. p=61, q=53, e=17 gives the classic
+    Used for frozen test vectors, e.g. 61, 53 and e=17 give the classic
     (n=3233, d=2753).  The primes must differ: for n = p^2 the phi used
     here is wrong and most round trips would fail.
     """
-    if p == q:
-        raise KeygenFailure(f"p and q must be distinct primes, got p = q = {p}")
-    phi = (p - 1) * (q - 1)
+    if len(primes) < 2 or len(set(primes)) < len(primes):
+        raise KeygenFailure(f"need two or more distinct primes, got {primes}")
+    phi = math.prod(r - 1 for r in primes)
     if math.gcd(e, phi) != 1:
         raise KeygenFailure(f"exponent {e} shares a factor with phi")
-    return _keypair(p, q, e, pow(e, -1, phi))
+    return _keypair(primes, e, pow(e, -1, phi))
 
 
-def _keypair(p: int, q: int, e: int, d: int) -> KeyPair:
+def _keypair(primes: tuple[int, ...], e: int, d: int) -> KeyPair:
     """Assemble a keypair from distinct primes and matching exponents."""
+    coefficients, product = [], 1
+    for r in primes:
+        coefficients.append(pow(product, -1, r))
+        product *= r
     secret = SecretKey(
-        modulus=p * q,
+        modulus=product,
         exponent=d,
-        p=p,
-        q=q,
-        dp=d % (p - 1),
-        dq=d % (q - 1),
-        q_inv=pow(q, -1, p),
+        primes=primes,
+        exponents=tuple(d % (r - 1) for r in primes),
+        coefficients=tuple(coefficients),
     )
-    return KeyPair(PublicKey(secret.modulus, e), secret)
+    return KeyPair(PublicKey(product, e), secret)
 
 
 def encrypt(public_key: PublicKey, plaintext: int) -> Envelope:
@@ -253,10 +263,12 @@ def encrypt(public_key: PublicKey, plaintext: int) -> Envelope:
 def decrypt(pair: KeyPair, envelope: Envelope) -> int:
     """Invert an envelope produced under this pair's public key.
 
-    Computes c^d mod n through the Chinese Remainder Theorem (Garner's
-    recombination of c^dp mod p and c^dq mod q).  The result is exact for
-    every c in [0, n), including ciphertexts that share a factor with n.
-    No padding, no blinding and no fault check: not a security claim.
+    Computes c^d mod n through the Chinese Remainder Theorem, one loop
+    over the primes for any u >= 2 (RFC 8017 section 5.1.2, step 2b):
+    with m the result so far modulo R = r_1 * ... * r_(i-1), each step
+    adds R * ((c^d_i mod r_i - m) * t_i mod r_i).  The result is exact
+    for every c in [0, n), including ciphertexts that share a factor with
+    n.  No padding, no blinding and no fault check: not a security claim.
     """
     if envelope.key_tag != pair.key_tag:
         raise KeyMismatch(
@@ -266,9 +278,11 @@ def decrypt(pair: KeyPair, envelope: Envelope) -> int:
     c = envelope.ciphertext
     if not 0 <= c < secret.modulus:
         raise ValueError("ciphertext outside the modulus range")
-    mp = pow(c, secret.dp, secret.p)
-    mq = pow(c, secret.dq, secret.q)
-    return mq + secret.q * ((mp - mq) * secret.q_inv % secret.p)
+    m, product = 0, 1
+    for r, d, t in zip(secret.primes, secret.exponents, secret.coefficients):
+        m += product * ((pow(c, d, r) - m) * t % r)
+        product *= r
+    return m
 
 
 def encode_contact(phone_number: str) -> int:

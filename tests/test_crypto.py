@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import math
 import random
 
 import pytest
@@ -73,13 +75,26 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 class TestKeygen:
     def test_toy_keypair_matches_extended_euclid(self):
-        pair = keypair_from_primes(61, 53, e=17)
-        assert pair.public.modulus == 3233
-        assert pair.public.exponent == 17
-        # oracle: d from the extended Euclidean algorithm mod phi
-        phi = 60 * 52
-        _, x, _ = extended_gcd(17, phi)
-        assert pair.secret.exponent == x % phi == 2753
+        for primes, n, d in (((61, 53), 3233, 2753), ((61, 53, 59), 190747, 74513)):
+            pair = keypair_from_primes(*primes, e=17)
+            assert pair.public.modulus == n
+            assert pair.public.exponent == 17
+            # oracle: d from the extended Euclidean algorithm mod phi
+            phi = math.prod(p - 1 for p in primes)
+            _, x, _ = extended_gcd(17, phi)
+            assert pair.secret.exponent == x % phi == d
+
+    def test_32_bit_keys_unchanged(self):
+        # sha256 of (n, e, d) for seeds 0-23, pinned from the two-prime
+        # key search: 32-bit keys, and every world that uses them, keep
+        # their stream whatever the prime count at larger sizes
+        pairs = [generate_keypair(seed, 32) for seed in range(24)]
+        material = "".join(
+            f"{p.public.modulus},{p.public.exponent},{p.secret.exponent};" for p in pairs
+        )
+        assert hashlib.sha256(material.encode()).hexdigest() == (
+            "05867257cf398f985665f18a6003b9149ba10412e761aab9681ec6c94e33d2d5"
+        )
 
     def test_same_seed_same_keypair(self):
         assert generate_keypair(1234, 32) == generate_keypair(1234, 32)
@@ -133,6 +148,10 @@ class TestKeygen:
         # n = 61**2 is not a product of distinct primes; (p-1)**2 is not its phi
         with pytest.raises(KeygenFailure):
             keypair_from_primes(61, 61, e=17)
+        with pytest.raises(KeygenFailure):
+            keypair_from_primes(61, 53, 61, e=17)
+        with pytest.raises(KeygenFailure):
+            keypair_from_primes(61, e=17)
 
 
 class TestEnvelope:
@@ -179,13 +198,34 @@ class TestEnvelope:
             # decrypt, including ciphertexts that share a factor with n
             n, secret = pair.public.modulus, pair.secret
             randoms = [(c * 2654435761 + seed) % n for c in range(1, 9)]
-            for c in [0, 1, secret.p, secret.q, 2 * secret.q, n - 1, *randoms]:
+            p, q = secret.primes
+            for c in [0, 1, p, q, 2 * q, n - 1, *randoms]:
                 envelope = Envelope(ciphertext=c, key_tag=pair.key_tag)
                 assert decrypt(pair, envelope) == slow_modexp(c, secret.exponent, n)
         toy = keypair_from_primes(61, 53, e=17)
         for c in range(3233):
             envelope = Envelope(ciphertext=c, key_tag=toy.key_tag)
             assert decrypt(toy, envelope) == slow_modexp(c, 2753, 3233)
+        # at u = 3 the recombination runs a step that two primes never
+        # reach, with a coefficient against the product of two primes
+        trio = keypair_from_primes(61, 53, 59, e=17)
+        for c in range(190747):
+            envelope = Envelope(ciphertext=c, key_tag=trio.key_tag)
+            assert decrypt(trio, envelope) == pow(c, 74513, 190747)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_2048_bit_keys_match_modexp_oracle(self, seed):
+        pair = generate_keypair(seed, 2048)
+        n, d, primes = pair.public.modulus, pair.secret.exponent, pair.secret.primes
+        assert len(set(primes)) == 3 and math.prod(primes) == n
+        assert 2046 <= n.bit_length() <= 2048
+        rand = random.Random(seed)
+        products = [a * b for i, a in enumerate(primes) for b in primes[i + 1 :]]
+        randoms = [rand.randrange(n) for _ in range(4)]
+        for c in [0, 1, n - 1, *primes, *products, *randoms]:
+            envelope = Envelope(ciphertext=c, key_tag=pair.key_tag)
+            assert decrypt(pair, envelope) == pow(c, d, n)
 
     def test_contact_ciphertext_differs_from_plaintext(self, test_keypair):
         # sanity, not a security claim: packed contacts are not fixed points

@@ -531,30 +531,41 @@ class TestWaitlistInWorld:
             server.release_waitlist(stale["origin_tag"], 1, now=stale["t"] + ttl + 1.0)
 
     def test_waitlists_expire_on_later_dispatches(self):
-        world = small_world(
-            None,
-            seed=42,
-            agent_count=24,
-            box_size=30.0,
-            infection_prob_per_second=0.01,
-            tracking_threshold=2.5,
-            infection_range=2.5,
-            incubation_seconds=300.0,
-            horizon_seconds=1500.0,
-            initial_infected=2,
-            dispatch_capacity=1,
-        )
-        world.run()
-        ttl = world.config.incubation_seconds
-        uploads = [e for e in world.events if e["type"] == "upload"]
-        last = uploads[-1]["t"]
-        # some overflow was stale by the last dispatch, so a purge was due
-        assert any(e["n_waitlisted"] and last - e["t"] > ttl for e in uploads)
-        # the per-tick purge keeps every list within the time to live of
-        # the last tick, also after the last dispatch
-        last_tick = world.t - world.config.tick_seconds
-        kept = world.dispatch_server._waitlists.values()
-        assert kept and all(last_tick - bucket.created_at <= ttl for bucket in kept)
+        # agents 0, 3 and 6 fall ill at 0, 400 and 600 s; each met two
+        # others within the threshold shortly before its detection, so
+        # with capacity 1 the uploads at 300, 700 and 900 s each waitlist
+        # one recipient.  The first list is stale at the last upload, the
+        # second only after it.  No draw of the seed enters the scenario.
+        trace = [(0, 1, 0.0, 100.0, 2.0), (0, 2, 0.0, 100.0, 2.0),
+                 (3, 4, 500.0, 600.0, 2.0), (3, 5, 500.0, 600.0, 2.0),
+                 (6, 7, 700.0, 800.0, 2.0), (6, 8, 700.0, 800.0, 2.0)]
+        for seed in (1, 31, 42):
+            world = small_world(
+                trace, seed=seed, agent_count=9, incubation_seconds=300.0,
+                horizon_seconds=1100.0, dispatch_capacity=1,
+            )
+            world._health[:] = _SUSCEPTIBLE
+            world._infected_at[:] = np.nan
+            for agent, falls_ill in ((0, 0.0), (3, 400.0), (6, 600.0)):
+                while world.t < falls_ill:
+                    world.tick()
+                world._health[agent] = _INFECTED
+                world._infected_at[agent] = world.t
+            while world.t < world.config.horizon_seconds:
+                world.tick()
+            ttl = world.config.incubation_seconds
+            uploads = [e for e in world.events if e["type"] == "upload"]
+            assert [(e["t"], e["n_waitlisted"]) for e in uploads] == [
+                (300.0, 1), (700.0, 1), (900.0, 1)
+            ]
+            last = uploads[-1]["t"]
+            # some overflow was stale by the last dispatch, so a purge was due
+            assert any(e["n_waitlisted"] and last - e["t"] > ttl for e in uploads)
+            # the per-tick purge keeps every list within the time to live
+            # of the last tick, also after the last dispatch
+            last_tick = world.t - world.config.tick_seconds
+            kept = world.dispatch_server._waitlists.values()
+            assert kept and all(last_tick - bucket.created_at <= ttl for bucket in kept)
 
 
 def test_world_decrypts_only_sent_recipients(decrypts):
