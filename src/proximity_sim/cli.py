@@ -5,8 +5,9 @@
     proximity-sim world           [--config PATH] [--seed N] [--out DIR]
     proximity-sim crypto-selftest [--seed N]
 
-Exit codes: 0 success, 1 configuration problem, 2 runtime abort (activity
-cap exceeded).  Outputs are byte-deterministic for identical inputs.
+Exit codes: 0 success, 1 configuration problem (a bad config, trace or
+--out), 2 runtime abort (activity cap exceeded).  Outputs are
+byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from . import crypto
 from .config import ParseError, RunConfig, ValidationError, parse_config, parse_sweep_axis
-from .epidemic import run_ensemble
+from .epidemic import SimulationParams, run_ensemble
 from .report import emit_csv, emit_svg
 from .world import World, false_alert_rate, parse_contact_trace, EmptyLog
 
@@ -32,10 +33,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="contact-tracing protocol and outbreak co-simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("epidemic", "sweep", "world", "crypto-selftest"):
+    for name in _HANDLERS:
         cmd = sub.add_parser(name)
-        cmd.add_argument("--config", type=Path, default=None)
         cmd.add_argument("--seed", type=int, default=42)
+        if name == "crypto-selftest":  # reads no config and writes no files
+            continue
+        cmd.add_argument("--config", type=Path, default=None)
         cmd.add_argument("--out", type=Path, default=Path("out"))
         if name == "epidemic":
             cmd.add_argument(
@@ -56,51 +59,54 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return parse_config(text, command=args.command)
 
 
+def _make_out_dir(out: Path) -> None:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # --out names a file, or a place that cannot be made
+        raise ValidationError(str(exc)) from exc
+
+
+def _run_columns(args: argparse.Namespace, params: SimulationParams, points: list):
+    """Make the output directory, run the seed-coupled no-app baseline and
+    each (label, params) point; return the ensembles, their means trimmed to
+    the shortest, its last day, and the capped replicates (exit 2 if any)."""
+    _make_out_dir(args.out)
+    columns = [("baseline", params.without_app()), *points]
+    ensembles = [(label, run_ensemble(point, args.seed)) for label, point in columns]
+    length = min(len(e.mean) for _, e in ensembles)
+    series = [(label, e.mean[:length]) for label, e in ensembles]
+    aborted = sorted({r for _, e in ensembles for r in e.aborted_replicates})
+    return ensembles, series, length - 1, aborted
+
+
 def _run_epidemic(args: argparse.Namespace) -> int:
-    run = _load_config(args)
-    params = run.sim_params
-    baseline = run_ensemble(params.without_app(), args.seed)
-    app = run_ensemble(params, args.seed)
-    args.out.mkdir(parents=True, exist_ok=True)
-    length = min(len(baseline.mean), len(app.mean))
-    series = [
-        ("baseline", baseline.mean[:length]),
-        (f"app(efficiency={params.efficiency})", app.mean[:length]),
-    ]
+    params = _load_config(args).sim_params
+    ensembles, series, last_day, aborted = _run_columns(
+        args, params, [(f"app(efficiency={params.efficiency})", params)]
+    )
     emit_csv(series, args.out / "daily_new_infected.csv")
     emit_svg(
         series,
         args.out / "daily_new_infected.svg",
         band=(series[0][0], series[1][0]) if args.band else None,
     )
-    last_day = length - 1
-    base_total, _ = baseline.cumulative_stats(last_day)
-    app_total, _ = app.cumulative_stats(last_day)
+    (base_total, _), (app_total, _) = (e.cumulative_stats(last_day) for _, e in ensembles)
     print(f"cumulative at day {last_day}: "
           f"baseline {base_total:.1f}, app {app_total:.1f}")
-    if baseline.truncated or app.truncated:
-        aborted = sorted(set(baseline.aborted_replicates + app.aborted_replicates))
+    if aborted:
         print(f"runtime abort: activity cap hit in replicates {aborted}", file=sys.stderr)
         return 2
     return 0
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    run = _load_config(args)
+    params = _load_config(args).sim_params
     key, values = parse_sweep_axis(args.sweep)
-    params = run.sim_params
-    args.out.mkdir(parents=True, exist_ok=True)
-    ensembles = [("baseline", run_ensemble(params.without_app(), args.seed))]
-    for value in values:
-        try:
-            point = replace(params, **{key: value})
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        ensembles.append((f"{key}={value}", run_ensemble(point, args.seed)))
-    truncated = any(e.truncated for _, e in ensembles)
-    length = min(len(e.mean) for _, e in ensembles)
-    last_day = length - 1
-    series = [(label, e.mean[:length]) for label, e in ensembles]
+    try:
+        points = [(f"{key}={value}", replace(params, **{key: value})) for value in values]
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+    ensembles, series, last_day, aborted = _run_columns(args, params, points)
     summary = [(label,) + e.cumulative_stats(last_day) for label, e in ensembles]
     emit_csv(series, args.out / "sweep_series.csv")
     emit_svg(series, args.out / "sweep_series.svg", title=f"sweep over {key}")
@@ -109,7 +115,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     (args.out / "sweep_summary.csv").write_text("\n".join(lines) + "\n", newline="\n")
     for label, mean, _ in summary:
         print(f"{label}: cumulative at day {last_day} = {mean:.1f}")
-    if truncated:
+    if aborted:
         print("runtime abort: activity cap hit during sweep", file=sys.stderr)
         return 2
     return 0
@@ -124,8 +130,8 @@ def _run_world(args: argparse.Namespace) -> int:
         world = World(run.world_config, seed=args.seed, trace=trace)
     except (OSError, ValueError) as exc:  # a trace that cannot be read, parsed or held
         raise ValidationError(str(exc)) from exc
+    _make_out_dir(args.out)
     world.run()
-    args.out.mkdir(parents=True, exist_ok=True)
     encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps builds per call
     with open(args.out / "events.jsonl", "w", newline="\n") as handle:
         for event in world.events:
@@ -221,18 +227,19 @@ def _run_crypto_selftest(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+_HANDLERS = {
+    "epidemic": _run_epidemic,
+    "sweep": _run_sweep,
+    "world": _run_world,
+    "crypto-selftest": _run_crypto_selftest,
+}
+
+
 def run_command(argv: list[str] | None = None) -> int:
     """Entry point returning the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "epidemic": _run_epidemic,
-        "sweep": _run_sweep,
-        "world": _run_world,
-        "crypto-selftest": _run_crypto_selftest,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return _HANDLERS[args.command](args)
     except (ParseError, ValidationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

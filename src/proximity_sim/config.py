@@ -7,7 +7,7 @@ for the epidemic model, a 200-agent box for the micro-world).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .epidemic import AlertPolicy, SimulationParams
 from .world import RadioModel, WorldConfig
@@ -18,7 +18,6 @@ __all__ = [
     "RunConfig",
     "parse_config",
     "parse_sweep_axis",
-    "EPIDEMIC_COMMANDS",
     "SWEEPABLE_KEYS",
 ]
 
@@ -29,10 +28,6 @@ class ParseError(Exception):
 
 class ValidationError(Exception):
     """Config is well-formed but violates a parameter invariant."""
-
-
-EPIDEMIC_COMMANDS = ("epidemic", "sweep")
-COMMANDS = ("epidemic", "sweep", "world", "crypto-selftest")
 
 
 def _parse_bool(text: str) -> bool:
@@ -51,42 +46,33 @@ def _parse_policy(text: str) -> AlertPolicy:
     raise ValueError(f"alert_policy must be FromInfection or AtDetection, got {text!r}")
 
 
-EPIDEMIC_KEYS = {
-    "r0": float,
-    "incubation_days": int,
-    "quarantine_factor": float,
-    "activation_day": int,
-    "ramp_days": int,
-    "efficiency": float,
-    "initial_infected": int,
-    "horizon_days": int,
-    "replicates": int,
-    "max_active": int,
-    "alert_policy": _parse_policy,
+# keyed by annotation text: the dataclass modules postpone evaluation
+_PARSERS = {
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "bool": _parse_bool,
+    "AlertPolicy": _parse_policy,
 }
 
-WORLD_KEYS = {
-    "agent_count": int,
-    "box_size": float,
-    "infection_range": float,
-    "infection_prob_per_second": float,
-    "tracking_threshold": float,
-    "tick_seconds": float,
-    "app_user_fraction": float,
-    "incubation_seconds": float,
-    "horizon_seconds": float,
-    "initial_infected": int,
-    "speed_min": float,
-    "speed_max": float,
-    "dispatch_capacity": int,
-    "yellow_enabled": _parse_bool,
-    "key_bits": int,
-    "rssi_at_1m": float,
-    "path_loss_exponent": float,
-    "noise_sigma": float,
-    "max_radio_range": float,
-    "trace_file": str,
-}
+
+def _schema(cls, **nested: dict) -> dict:
+    """Config key -> text parser for each field of `cls`, with the fields
+    named in `nested` replaced by their schemas; an unknown type raises."""
+    schema: dict = {}
+    for f in fields(cls):
+        if f.name in nested:
+            schema.update(nested[f.name])
+        elif f.type in _PARSERS:
+            schema[f.name] = _PARSERS[f.type]
+        else:
+            raise TypeError(f"{cls.__name__}.{f.name}: no config parser for {f.type!r}")
+    return schema
+
+
+EPIDEMIC_KEYS = _schema(SimulationParams)
+RADIO_KEYS = _schema(RadioModel)
+WORLD_KEYS = {**_schema(WorldConfig, radio=RADIO_KEYS), "trace_file": str}
 
 SWEEPABLE_KEYS = (
     "efficiency",
@@ -96,8 +82,6 @@ SWEEPABLE_KEYS = (
     "r0",
     "incubation_days",
 )
-
-RADIO_KEYS = ("rssi_at_1m", "path_loss_exponent", "noise_sigma", "max_radio_range")
 
 
 @dataclass
@@ -120,6 +104,8 @@ def _parse_pairs(text: str, schema: dict) -> dict:
         value_text = value_text.strip()
         if key not in schema:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ParseError(f"line {lineno}: key {key!r} is already set")
         try:
             values[key] = schema[key](value_text)
         except ValueError as exc:
@@ -149,17 +135,15 @@ def parse_sweep_axis(axis_text: str) -> tuple[str, list]:
 
 def parse_config(text: str, command: str = "epidemic") -> RunConfig:
     """Resolve config text against the command's schema and defaults."""
-    if command not in COMMANDS:
-        raise ValidationError(f"unknown command {command!r}")
-    if command == "crypto-selftest":
-        return RunConfig()
-    if command in EPIDEMIC_COMMANDS:
+    if command in ("epidemic", "sweep"):
         values = _parse_pairs(text, EPIDEMIC_KEYS)
         try:
             params = SimulationParams(**values)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
         return RunConfig(sim_params=params)
+    if command != "world":
+        raise ValidationError(f"no config schema for command {command!r}")
     values = _parse_pairs(text, WORLD_KEYS)
     trace_file = values.pop("trace_file", None)
     radio_values = {k: values.pop(k) for k in RADIO_KEYS if k in values}

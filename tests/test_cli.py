@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from proximity_sim import cli
 from proximity_sim.cli import run_command
 from proximity_sim.report import emit_csv, emit_svg
 
@@ -210,6 +211,33 @@ class TestWorldCommand:
         assert f"configuration error: {message}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["epidemic", "sweep", "world"])
+def test_unusable_out_is_a_configuration_error(tmp_path, capsys, monkeypatch, command):
+    def simulate(*_args, **_kwargs):
+        raise AssertionError("simulated before checking --out")
+
+    monkeypatch.setattr(cli, "run_ensemble", simulate)
+    monkeypatch.setattr(cli.World, "run", simulate)
+    config = tmp_path / "run.cfg"
+    config.write_text("agent_count=4\ninitial_infected=1\nkey_bits=32\n" if command == "world"
+                      else "replicates=2\n")
+    sweep = ["--sweep", "efficiency=0.5"] if command == "sweep" else []
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        assert run_command([command, *sweep, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(out) in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--config"])
+def test_crypto_selftest_takes_no_config_or_out(flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run_command(["crypto-selftest", flag, "x"])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
 
 
 def test_crypto_selftest_reports_toy_vector(capsys):

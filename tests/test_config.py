@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from proximity_sim.config import (
+    EPIDEMIC_KEYS,
+    WORLD_KEYS,
     ParseError,
     ValidationError,
+    _schema,
     parse_config,
     parse_sweep_axis,
 )
@@ -51,6 +58,10 @@ class TestEpidemicConfig:
     def test_bad_number(self):
         with pytest.raises(ParseError, match="r0"):
             parse_config("r0=three\n", command="epidemic")
+
+    def test_repeated_key_is_a_parse_error_with_its_line(self):
+        with pytest.raises(ParseError, match="line 3: key 'replicates' is already set"):
+            parse_config("replicates=2\nr0=2\nreplicates=3\n", command="epidemic")
 
     def test_activation_beyond_horizon_is_legal(self):
         params = parse_config("activation_day=999\n", command="epidemic").sim_params
@@ -104,3 +115,92 @@ class TestSweepAxis:
 def test_unknown_command_rejected():
     with pytest.raises(ValidationError):
         parse_config("", command="mystery")
+
+
+# one non-default text value per config key, and the value it must parse to
+EPIDEMIC_SAMPLES = {
+    "r0": ("2.5", 2.5),
+    "incubation_days": ("7", 7),
+    "quarantine_factor": ("4", 4.0),
+    "activation_day": ("12", 12),
+    "ramp_days": ("0", 0),
+    "efficiency": ("0.25", 0.25),
+    "initial_infected": ("3", 3),
+    "horizon_days": ("20", 20),
+    "replicates": ("4", 4),
+    "max_active": ("900", 900),
+    "alert_policy": ("AtDetection", AlertPolicy.AT_DETECTION),
+}
+WORLD_SAMPLES = {
+    "agent_count": ("30", 30),
+    "box_size": ("12.5", 12.5),
+    "infection_range": ("1.5", 1.5),
+    "infection_prob_per_second": ("0.5", 0.5),
+    "tracking_threshold": ("3.5", 3.5),
+    "tick_seconds": ("5", 5.0),
+    "app_user_fraction": ("1", 1.0),
+    "incubation_seconds": ("60", 60.0),
+    "horizon_seconds": ("600", 600.0),
+    "initial_infected": ("2", 2),
+    "speed_min": ("0", 0.0),
+    "speed_max": ("1.5", 1.5),
+    "dispatch_capacity": ("3", 3),
+    "yellow_enabled": ("yes", True),
+    "key_bits": ("32", 32),
+    "rssi_at_1m": ("-60.5", -60.5),
+    "path_loss_exponent": ("3", 3.0),
+    "noise_sigma": ("0", 0.0),
+    "max_radio_range": ("8", 8.0),
+    "trace_file": ("contacts.csv", "contacts.csv"),
+}
+
+
+class TestDerivedSchema:
+    def test_samples_cover_every_key(self):
+        assert set(EPIDEMIC_SAMPLES) == set(EPIDEMIC_KEYS)
+        assert set(WORLD_SAMPLES) == set(WORLD_KEYS)
+
+    @pytest.mark.parametrize("key", sorted(EPIDEMIC_SAMPLES))
+    def test_epidemic_key_parses_to_a_non_default_value(self, key):
+        text, expected = EPIDEMIC_SAMPLES[key]
+        default = getattr(parse_config("", command="epidemic").sim_params, key)
+        value = getattr(parse_config(f"{key}={text}\n", command="epidemic").sim_params, key)
+        assert value == expected and value != default
+        assert type(value) is type(expected)
+
+    @pytest.mark.parametrize("key", sorted(WORLD_SAMPLES))
+    def test_world_key_parses_to_a_non_default_value(self, key):
+        def read(run):
+            if key == "trace_file":
+                return run.trace_file
+            config = run.world_config
+            return getattr(config.radio if hasattr(config.radio, key) else config, key)
+
+        text, expected = WORLD_SAMPLES[key]
+        default = read(parse_config("", command="world"))
+        value = read(parse_config(f"{key}={text}\n", command="world"))
+        assert value == expected and value != default
+        assert type(value) is type(expected)
+
+    def test_field_without_a_parser_fails_to_build(self):
+        @dataclasses.dataclass
+        class Toy:
+            count: int = 1
+            tags: list = dataclasses.field(default_factory=list)
+
+        with pytest.raises(TypeError, match="Toy.tags"):
+            _schema(Toy)
+
+
+@pytest.mark.parametrize(
+    "title, command, keys",
+    [("epidemic config", "epidemic", EPIDEMIC_KEYS), ("world config", "world", WORLD_KEYS)],
+)
+def test_readme_lists_every_key_with_its_default(title, command, keys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    match = re.search(rf"```\n# {title}\n(.*?)```", readme, re.DOTALL)
+    assert match, f"README has no '# {title}' listing"
+    listing = match.group(1)
+    listed = re.findall(r"^(?:# )?(\w+)=", listing, re.MULTILINE)
+    assert sorted(listed) == sorted(keys)
+    assert parse_config(listing, command=command) == parse_config("", command=command)
