@@ -1,12 +1,15 @@
 """Flat key=value run configuration.
 
-One pair per line, '#' starts a comment, unknown keys are rejected, and
-missing keys fall back to the documented defaults (the headline scenario
-for the epidemic model, a 200-agent box for the micro-world).
+One pair per line.  A '#' at the start of a line or after whitespace
+starts a comment; any other '#' is an error, not part of a value.
+Unknown keys are rejected, and missing keys fall back to the documented
+defaults (the headline scenario for the epidemic model, a 200-agent box
+for the micro-world).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 
 from .epidemic import AlertPolicy, SimulationParams
@@ -91,12 +94,18 @@ class RunConfig:
     trace_file: str | None = None
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def _parse_pairs(text: str, schema: dict) -> dict:
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
+        if "#" in line:
+            raise ParseError(f"line {lineno}: '#' starts a comment only at the start of "
+                             f"a line or after whitespace, got {line!r}")
         if "=" not in line:
             raise ParseError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value_text = line.partition("=")
@@ -130,6 +139,9 @@ def parse_sweep_axis(axis_text: str) -> tuple[str, list]:
         raise ParseError(f"bad sweep value: {exc}") from exc
     if not values:
         raise ParseError("sweep axis has no values")
+    for index, value in enumerate(values):
+        if value in values[:index]:
+            raise ParseError(f"sweep axis repeats {value}")
     return key, values
 
 

@@ -52,11 +52,15 @@ its detection day; that has the law of a coin drawn on the detection day.
 
 RNG discipline: replicate seed ``seed`` feeds two generators,
 derive_seed(seed, 0) for the transmission Poisson draws and
-derive_seed(seed, 1) for the binomial coins.  At k=1, at efficiency=0 and
-with activation after the horizon every transmission rate is the same
-whole number of cases times r0/incubation_days, so the transmission
-stream sees the same rates and the series are bit-identical by
-construction, under either policy.
+derive_seed(seed, 1) for the binomial coins.  The series reads the coin
+stream only when an alert can change a rate: some adoption, k > 1 and an
+activation level above 0 by the horizon.  Otherwise (k=1, efficiency=0,
+activation after the horizon) the engine calls no coin and every
+transmission rate is the same whole number of cases times
+r0/incubation_days, so the transmission stream sees the same rates and
+the series are bit-identical by construction, under either policy.
+Where alerts do matter, a coin call of probability 0 is skipped: numpy
+draws nothing for it, so the coin stream is the same as if it were made.
 """
 
 from __future__ import annotations
@@ -205,6 +209,11 @@ def _simulate(params: SimulationParams, seed: int) -> tuple[np.ndarray, np.ndarr
     spread = np.random.Generator(np.random.PCG64(derive_seed(seed, 0)))
     coins = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
     at_detection = params.alert_policy is AlertPolicy.AT_DETECTION
+    # an alert changes a rate only if someone adopts, k > 1 and the level
+    # (which never falls) leaves 0 by the horizon; otherwise each rate is a
+    # whole number of cases and the series never reads the coins
+    alerts_matter = (params.efficiency > 0 and params.quarantine_factor > 1
+                     and activation_level(horizon, params) > 0)
     never = days  # alert offset of cases that are never alerted
     # weight[a, j]: relative rate, a days after infection, of a case whose
     # alert takes effect j days after infection
@@ -214,18 +223,26 @@ def _simulate(params: SimulationParams, seed: int) -> tuple[np.ndarray, np.ndarr
     series = np.zeros(horizon + 1, np.int64)
     offspring = np.zeros(horizon + 1, np.int64)
 
+    # numpy's binomial draws nothing at probability 0, so each coin call
+    # below is skipped where its probability is 0 and leaves the coin
+    # stream as drawing it would
     def create(day: int, total: int, alerted_by_source: np.ndarray) -> None:
+        series[day] = total
+        if not alerts_matter:
+            return
         cohort = np.zeros(days + 1, np.int64)
         if at_detection:
             # children of source day s are alerted on s's detection day s+days
-            cohort[np.arange(day - len(alerted_by_source), day) + days - day] = alerted_by_source
+            cohort[days - len(alerted_by_source) : days] = alerted_by_source
         else:
-            cohort[0] = coins.binomial(total, params.efficiency * activation_level(day, params))
+            alert_prob = params.efficiency * activation_level(day, params)
+            if alert_prob > 0:
+                cohort[0] = coins.binomial(total, alert_prob)
         cohort[never] = total - cohort.sum()
-        if at_detection:
-            count[day, :, 1] = coins.binomial(cohort, activation_level(day + days, params))
+        upload_prob = activation_level(day + days, params) if at_detection else 0.0
+        if upload_prob > 0:
+            count[day, :, 1] = coins.binomial(cohort, upload_prob)
         count[day, :, 0] = cohort - count[day, :, 1]
-        series[day] = total
 
     create(0, params.initial_infected, np.zeros(0, np.int64))
     for day in range(1, horizon + 1):
@@ -233,13 +250,16 @@ def _simulate(params: SimulationParams, seed: int) -> tuple[np.ndarray, np.ndarr
         active = int(series[lo:day].sum())
         if active > params.max_active:
             raise AbortCapExceeded(day, active, DailySeries(series[:day].copy(), truncated=True))
-        # weighted cases per source day and upload flag: whole numbers when k == 1
-        weighted = np.einsum("sj,sju->su", weight[day - lo : 0 : -1], count[lo:day])
-        rates = weighted.sum(axis=1)
+        if alerts_matter:
+            # weighted cases per source day and upload flag
+            weighted = np.einsum("sj,sju->su", weight[day - lo : 0 : -1], count[lo:day])
+            rates = weighted.sum(axis=1)
+        else:
+            rates = series[lo:day]  # the einsum's totals when no case is alerted
         born = spread.poisson(params.r0 / days * rates)
         offspring[lo:day] += born
         alerted = np.zeros(0, np.int64)
-        if at_detection:
+        if alerts_matter and at_detection and weighted[:, 1].any():
             share = np.divide(weighted[:, 1], rates, out=np.zeros_like(rates), where=rates > 0)
             alerted = coins.binomial(coins.binomial(born, share), params.efficiency)
         create(day, int(born.sum()), alerted)

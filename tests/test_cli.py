@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -129,6 +130,14 @@ class TestSweepCommand:
     def test_bad_axis_exit_code(self, tmp_path):
         assert run_command(["sweep", "--sweep", "replicates=1,2"]) == 1
 
+    def test_repeated_axis_value_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert run_command(
+            ["sweep", "--sweep", "efficiency=0.5,0.50,1", "--out", str(out)]
+        ) == 1
+        assert "repeats 0.5" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestWorldCommand:
     def test_world_outputs(self, tmp_path):
@@ -245,3 +254,96 @@ def test_crypto_selftest_reports_toy_vector(capsys):
     out = capsys.readouterr().out
     assert "65 -> 2790 -> 65" in out
     assert "FAIL" not in out
+
+
+# sha256 of the files `proximity-sim epidemic` and `sweep` write, and of
+# their stdout, pinned before the epidemic engine learned to skip draws
+# that cannot reach the series (Python 3.11.7, numpy 2.4.6); an engine
+# change that keeps behaviour keeps these digests.  The sweep runs over
+# quarantine_factor=1,2,10, so its k=1 column must equal the baseline.
+GOLDEN_EPIDEMIC_CONFIG = "replicates=4\nhorizon_days=45\nefficiency=0.6\n"
+GOLDEN_EPIDEMICS = {
+    ("epidemic", "FromInfection", False, 7): {
+        "daily_new_infected.csv": "86fdacbcc33cbf3c5e24077f52ce66453d3936e1a329fc305bcc148f65ac80a9",
+        "daily_new_infected.svg": "b826506f7a04b1ec8860b9c814f42488a3337d81ab3c38e856caa4f9b3d8ea4e",
+        "stdout": "5d2c4a82c6beb8d8e29f86accac8bc798bd897da3b8d8ac52c7899598b6ce604",
+    },
+    ("epidemic", "FromInfection", False, 2026): {
+        "daily_new_infected.csv": "0a02e4d1f5d7dd3e3f5ff1a7a135bf74cf933ae6d135d7ebac78334464bb1be2",
+        "daily_new_infected.svg": "5437b974e4a8fdfd98045924b792d9a7897d70322db349815f4bb27da9699591",
+        "stdout": "1cb3b1c3ed5827cd2078b0e1eb2bef103f4a1775ed47ae580276dd35f1091f58",
+    },
+    ("epidemic", "FromInfection", True, 7): {
+        "daily_new_infected.csv": "86fdacbcc33cbf3c5e24077f52ce66453d3936e1a329fc305bcc148f65ac80a9",
+        "daily_new_infected.svg": "9cd194f273426f982a76f9d5914509a232f4f2351f29c1d32902b74bc4884bbf",
+        "stdout": "5d2c4a82c6beb8d8e29f86accac8bc798bd897da3b8d8ac52c7899598b6ce604",
+    },
+    ("epidemic", "FromInfection", True, 2026): {
+        "daily_new_infected.csv": "0a02e4d1f5d7dd3e3f5ff1a7a135bf74cf933ae6d135d7ebac78334464bb1be2",
+        "daily_new_infected.svg": "4d2e83bd79ede74eb476d8f817ab12f562b1eb3f8171dc281d971a6afa8e0bf4",
+        "stdout": "1cb3b1c3ed5827cd2078b0e1eb2bef103f4a1775ed47ae580276dd35f1091f58",
+    },
+    ("sweep", "FromInfection", False, 7): {
+        "stdout": "cc2197ae950adde287345e39d2cad8a2e232796a7f304b4c3bd8dc86e35f5e13",
+        "sweep_series.csv": "dc7281c09ba9c86fca264e9a7b89e79a06394913a9c574538fd11ed6ce6ebe8e",
+        "sweep_series.svg": "b65a5666caf46f6f25491a162398ac01d00dc7887b773c740ee793261691eb65",
+        "sweep_summary.csv": "18bf54a66eb4320be949ec30a775c9da716e09edfd4d7f76a8195698e39bf5f5",
+    },
+    ("sweep", "FromInfection", False, 2026): {
+        "stdout": "8f5dbe248789b2facdf4e6a70b2542cfeef1c5645514cc7b33bbe9bcd208ac6b",
+        "sweep_series.csv": "0d8d5a8d4db9df1754d222240767125976aa7b7641f5d650fad2fb0288084ecf",
+        "sweep_series.svg": "3bb9d44552e09c6fa529c8af957824e9fe6c6c576f58e34e59f3479c123aa0b0",
+        "sweep_summary.csv": "711ae24c9ad7a822cc44326b3ccbdd1ff8163b2f43f0c0fecab8bbfb69a3b97b",
+    },
+    ("epidemic", "AtDetection", False, 7): {
+        "daily_new_infected.csv": "889e49a977ecb16f3649980e5914f01e7c19945a9cab1e198fa41bffe723c26f",
+        "daily_new_infected.svg": "8c761b778d49de49aaaee17de842a7264befe10b1a0a59655c40d6670ba19c25",
+        "stdout": "8d4a218a6e9684f9b09ffc7ff1fcacb051c0b65bfaa9d6f6453c7409be4a512e",
+    },
+    ("epidemic", "AtDetection", False, 2026): {
+        "daily_new_infected.csv": "faef8513f62f063bbb8932e7f26477a2c13c17a973823825cb3e81fa0dd3ed0c",
+        "daily_new_infected.svg": "4fea57935f717b1be81d73864e1d9f1bb2b985f805a0afc431f145df4ce782fc",
+        "stdout": "06f4e06a9e48eacf1403d5bf5352e3496702d78c3e90611d3df15259e63d411c",
+    },
+    ("epidemic", "AtDetection", True, 7): {
+        "daily_new_infected.csv": "889e49a977ecb16f3649980e5914f01e7c19945a9cab1e198fa41bffe723c26f",
+        "daily_new_infected.svg": "3462860df2ffa4ea3bcd61aba466be57ae142c967a28690cebce6743599071b8",
+        "stdout": "8d4a218a6e9684f9b09ffc7ff1fcacb051c0b65bfaa9d6f6453c7409be4a512e",
+    },
+    ("epidemic", "AtDetection", True, 2026): {
+        "daily_new_infected.csv": "faef8513f62f063bbb8932e7f26477a2c13c17a973823825cb3e81fa0dd3ed0c",
+        "daily_new_infected.svg": "43c15f174170f46341cf7e34be4f8e055362e55e50be49f280329dbe766887a0",
+        "stdout": "06f4e06a9e48eacf1403d5bf5352e3496702d78c3e90611d3df15259e63d411c",
+    },
+    ("sweep", "AtDetection", False, 7): {
+        "stdout": "f043193f4bcef9d7c758b5e3fe61218f73f3fc1bf99249a268b605e2d3d52715",
+        "sweep_series.csv": "a5765a9b7bab5f6f13abb21c99755cedefde831e180a25ffff955a78fe32b4b1",
+        "sweep_series.svg": "53a6cea9646d131e0711b3f0c1227220f908e1c3d069fc805f95950ad3a8c006",
+        "sweep_summary.csv": "fe233fb5b5dd483d1257ba8ce6c402d06c33bcda9e483e2f1f2a4749d5390e83",
+    },
+    ("sweep", "AtDetection", False, 2026): {
+        "stdout": "0a4a5ed925f2e0b2de1aa4080b9c957ec740de2e4294db00887168ecbb4a750b",
+        "sweep_series.csv": "9e3560a27ea22161d89c23847ffb5a10b2fa59fd76f10619ea34d46813b9785a",
+        "sweep_series.svg": "62ba20398ec2751238ede14f2531e38b69eaa604bfaec6dea25170cf1ad1ce64",
+        "sweep_summary.csv": "1a08c1c377774f121474975eea692971c678a239175dd07e3b9e3d6103e0e0c6",
+    },
+}
+
+
+@pytest.mark.parametrize("command, policy, band, seed", sorted(GOLDEN_EPIDEMICS))
+def test_epidemic_outputs_match_golden_digests(tmp_path, capsys, command, policy, band, seed):
+    config = tmp_path / "run.cfg"
+    config.write_text(GOLDEN_EPIDEMIC_CONFIG + f"alert_policy={policy}\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--seed", str(seed), "--out", str(out)]
+    if band:
+        argv.append("--band")
+    if command == "sweep":
+        argv += ["--sweep", "quarantine_factor=1,2,10"]
+    assert run_command(argv) == 0
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+    }
+    written["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert written == GOLDEN_EPIDEMICS[command, policy, band, seed]

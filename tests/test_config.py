@@ -89,6 +89,20 @@ class TestWorldConfigParsing:
         with pytest.raises(ValidationError, match="app_user_fraction"):
             parse_config("app_user_fraction=2\n", command="world")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["trace_file=/data/run#2.csv", "trace_file=#2.csv", "trace_file=a#b   # note"],
+    )
+    def test_hash_inside_a_value_is_a_parse_error_with_its_line(self, line):
+        with pytest.raises(ParseError, match="line 2: '#' starts a comment only"):
+            parse_config(f"agent_count=20\n{line}\n", command="world")
+
+    def test_hash_after_whitespace_starts_a_comment(self):
+        text = "#lead\n  # indented\ntrace_file=run.csv\t# tab\nkey_bits=32 #tight\n"
+        run = parse_config(text, command="world")
+        assert run.trace_file == "run.csv"
+        assert run.world_config.key_bits == 32
+
 
 class TestSweepAxis:
     def test_parse_values(self):
@@ -104,6 +118,15 @@ class TestSweepAxis:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValidationError):
             parse_sweep_axis("replicates=10,20")
+
+    @pytest.mark.parametrize(
+        "axis, repeated",
+        [("efficiency=0.5,0.50,1", "0.5"), ("ramp_days=0,5,05", "5"),
+         ("quarantine_factor=1,10,1e1", "10.0")],
+    )
+    def test_repeated_value_is_a_parse_error_naming_it(self, axis, repeated):
+        with pytest.raises(ParseError, match=f"sweep axis repeats {re.escape(repeated)}$"):
+            parse_sweep_axis(axis)
 
     def test_malformed_axis(self):
         with pytest.raises(ParseError):

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proximity_sim import epidemic
 from proximity_sim.crypto import derive_seed
 from proximity_sim.epidemic import (
     AbortCapExceeded,
     AlertPolicy,
+    DailySeries,
     NoGrowthRoot,
     SimulationParams,
     _simulate,
@@ -41,6 +45,96 @@ def conditional_z(params: SimulationParams, seed: int, rate: float) -> np.ndarra
     lam = np.array([rate * series[max(0, d - days) : d].sum()
                     for d in range(1, len(series))])
     return (series[1:] - lam) / np.sqrt(lam)
+
+
+def reference_simulate(params: SimulationParams, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cohort engine as it was before it skipped draws that cannot
+    reach the series: every replicate fills the count tensor, runs the
+    einsum and calls every coin, probability 0 or not.  Kept as the
+    oracle that `_simulate` must match bit for bit."""
+    days, horizon = params.incubation_days, params.horizon_days
+    spread = np.random.Generator(np.random.PCG64(derive_seed(seed, 0)))
+    coins = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
+    at_detection = params.alert_policy is AlertPolicy.AT_DETECTION
+    never = days
+    a, j = np.ogrid[: days + 1, : days + 1]
+    weight = np.where((j <= a) & (j < never), 1.0 / params.quarantine_factor, 1.0)
+    count = np.zeros((horizon + 1, days + 1, 2), np.int64)
+    series = np.zeros(horizon + 1, np.int64)
+    offspring = np.zeros(horizon + 1, np.int64)
+
+    def create(day, total, alerted_by_source):
+        cohort = np.zeros(days + 1, np.int64)
+        if at_detection:
+            cohort[np.arange(day - len(alerted_by_source), day) + days - day] = alerted_by_source
+        else:
+            cohort[0] = coins.binomial(total, params.efficiency * activation_level(day, params))
+        cohort[never] = total - cohort.sum()
+        if at_detection:
+            count[day, :, 1] = coins.binomial(cohort, activation_level(day + days, params))
+        count[day, :, 0] = cohort - count[day, :, 1]
+        series[day] = total
+
+    create(0, params.initial_infected, np.zeros(0, np.int64))
+    for day in range(1, horizon + 1):
+        lo = max(0, day - days)
+        active = int(series[lo:day].sum())
+        if active > params.max_active:
+            raise AbortCapExceeded(day, active, DailySeries(series[:day].copy(), truncated=True))
+        weighted = np.einsum("sj,sju->su", weight[day - lo : 0 : -1], count[lo:day])
+        rates = weighted.sum(axis=1)
+        born = spread.poisson(params.r0 / days * rates)
+        offspring[lo:day] += born
+        alerted = np.zeros(0, np.int64)
+        if at_detection:
+            share = np.divide(weighted[:, 1], rates, out=np.zeros_like(rates), where=rates > 0)
+            alerted = coins.binomial(coins.binomial(born, share), params.efficiency)
+        create(day, int(born.sum()), alerted)
+    return series, offspring
+
+
+class TestReferenceEngine:
+    """`_simulate` skips the coins, the count tensor and the einsum where
+    no alert can change a rate, and each zero-probability coin call; the
+    series and offspring must not move by a bit."""
+
+    @pytest.mark.parametrize("policy", list(AlertPolicy))
+    @pytest.mark.parametrize("efficiency", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("k", [1.0, 2.0, 10.0])
+    def test_series_and_offspring_match(self, policy, efficiency, k):
+        # activation at day 0, mid-run, on the horizon and after it
+        for activation_day, ramp_days, seed in itertools.product(
+                (0, 30, 40, 45), (0, 10), (3, 77)):
+            params = SimulationParams(
+                incubation_days=10, horizon_days=40, initial_infected=5, max_active=10**9,
+                quarantine_factor=k, efficiency=efficiency, activation_day=activation_day,
+                ramp_days=ramp_days, alert_policy=policy)
+            expected = reference_simulate(params, seed)
+            actual = _simulate(params, seed)
+            assert np.array_equal(actual[0], expected[0])
+            assert np.array_equal(actual[1], expected[1])
+
+    @pytest.mark.parametrize("policy", list(AlertPolicy))
+    @pytest.mark.parametrize("efficiency, k", [(0.0, 10.0), (0.6, 1.0), (0.6, 10.0)])
+    def test_abort_day_and_partial_series_match(self, policy, efficiency, k):
+        params = SimulationParams(horizon_days=50, max_active=2_000, efficiency=efficiency,
+                                  quarantine_factor=k, alert_policy=policy)
+        with pytest.raises(AbortCapExceeded) as expected:
+            reference_simulate(params, 11)
+        with pytest.raises(AbortCapExceeded) as actual:
+            _simulate(params, 11)
+        assert (actual.value.day, actual.value.active) == (expected.value.day,
+                                                            expected.value.active)
+        assert np.array_equal(actual.value.series.new_infected_per_day,
+                              expected.value.series.new_infected_per_day)
+
+    @pytest.mark.parametrize("policy", list(AlertPolicy))
+    def test_mean_completed_offspring_matches(self, policy, monkeypatch):
+        params = SimulationParams(horizon_days=45, efficiency=0.6, alert_policy=policy)
+        actual = mean_completed_offspring(params, base_seed=5, replicates=3, after_day=20)
+        monkeypatch.setattr(epidemic, "_simulate", reference_simulate)
+        assert mean_completed_offspring(params, base_seed=5, replicates=3,
+                                        after_day=20) == actual
 
 
 class TestActivationLevel:
