@@ -7,11 +7,12 @@ tokens, ranks the uploaded encounter ledger, and fans out anonymous
 notifications in priority order under a capacity threshold.  The server
 holds the one deployment key and sets the capacity itself; an uploading
 device chooses neither.  It decrypts an envelope only to notify its
-recipient, and hands the plaintext to the notification sink alone, so
-no result carries a phone number and the capacity overflow (the waiting
-list, keyed by an anonymous origin tag, with a bounded time to live)
-stays encrypted until it is released.  Nothing else survives a
-transaction.
+recipient, and hands the plaintext to the notification sink alone.  A
+result names the ranked contacts notified and those waitlisted, by
+envelope and score, so it carries no phone number, and the capacity
+overflow (the waiting list, keyed by an anonymous origin tag, with a
+bounded time to live) stays encrypted until it is released.  Nothing
+else survives a transaction.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .messages import (
     YELLOW_DIRECTIONS,
     AlertLevel,
     AlertMessage,
-    DispatchRecord,
-    DispatchStatus,
     ScoredContact,
 )
 
@@ -85,19 +84,14 @@ class ValidationOutcome(Enum):
 
 @dataclass
 class UploadResult:
-    """Outcome of one dispatch transaction."""
+    """Outcome of one dispatch transaction: the ranked contacts notified
+    and those waitlisted, by envelope and score, each in priority order."""
 
     origin_tag: str
-    records: list[DispatchRecord]
+    level: AlertLevel
+    sent: list[ScoredContact]
+    waitlisted: list[ScoredContact]
     decrypt_failures: int = 0
-
-    @property
-    def sent(self) -> list[DispatchRecord]:
-        return [r for r in self.records if r.status is DispatchStatus.SENT]
-
-    @property
-    def waitlisted(self) -> list[DispatchRecord]:
-        return [r for r in self.records if r.status is DispatchStatus.WAITLISTED]
 
 
 class KeyIssuer:
@@ -137,7 +131,7 @@ def _message(level: AlertLevel, origin_tag: str) -> AlertMessage:
 
 @dataclass
 class _WaitlistBucket:
-    records: list[DispatchRecord]  # still encrypted, in priority order
+    contacts: list[ScoredContact]  # still encrypted, in priority order
     created_at: float
     level: AlertLevel
 
@@ -149,7 +143,7 @@ class DispatchServer:
     dispatch notifies at most that many recipients (None: all of them)
     and waitlists the rest.  Only the envelopes of recipients it notifies
     are decrypted, and the plaintext goes nowhere but `notify`, called
-    once per sent record with (contact, AlertMessage); delivery is the
+    once per sent recipient with (contact, AlertMessage); delivery is the
     caller's business.  Origin tags are self-authenticating (sequence
     number plus keyed digest), so a red tag authorises exactly one yellow
     fan-out hop without the server remembering past dispatches.
@@ -239,30 +233,29 @@ class DispatchServer:
 
     def _send_in_order(
         self,
-        records: list[DispatchRecord],
+        ranked: list[ScoredContact],
         limit: int | None,
         message: AlertMessage,
-    ) -> tuple[list[DispatchRecord], int, int]:
-        """Decrypt records in order and notify each recipient until
+    ) -> tuple[list[ScoredContact], int, int]:
+        """Decrypt contacts in order and notify each recipient until
         `limit` are sent.
 
         A plaintext that is not a packed contact is a failure.  Returns
-        the sent records, how many records were used up and how many
+        the sent contacts, how many contacts were used up and how many
         failed.
         """
-        sent: list[DispatchRecord] = []
+        sent: list[ScoredContact] = []
         failures = position = 0
-        while position < len(records) and (limit is None or len(sent) < limit):
-            record = records[position]
+        while position < len(ranked) and (limit is None or len(sent) < limit):
+            item = ranked[position]
             position += 1
             try:
-                contact = decode_contact(decrypt(self._keypair, record.envelope))
+                contact = decode_contact(decrypt(self._keypair, item.envelope))
             except MalformedNumber:
                 failures += 1
                 continue
-            record.status = DispatchStatus.SENT
             self._notify(contact, message)
-            sent.append(record)
+            sent.append(item)
         return sent, position, failures
 
     def _dispatch(
@@ -282,21 +275,17 @@ class DispatchServer:
         ranked, failures = self._rank(scored_contacts)
         self.purge_expired_waitlists(now)
         tag = self._mint_origin_tag(level)
-        pending = [
-            DispatchRecord(
-                level=level, score=item.score,
-                status=DispatchStatus.WAITLISTED, envelope=item.envelope,
-            )
-            for item in ranked
-        ]
         sent, used, undecodable = self._send_in_order(
-            pending, self._capacity, _message(level, tag)
+            ranked, self._capacity, _message(level, tag)
         )
-        overflow = pending[used:]
-        if overflow:
-            self._waitlists[tag] = _WaitlistBucket(records=overflow, created_at=now, level=level)
+        waitlisted = ranked[used:]
+        if waitlisted:
+            self._waitlists[tag] = _WaitlistBucket(
+                contacts=waitlisted, created_at=now, level=level
+            )
         return UploadResult(
-            origin_tag=tag, records=sent + overflow, decrypt_failures=failures + undecodable
+            origin_tag=tag, level=level, sent=sent, waitlisted=waitlisted,
+            decrypt_failures=failures + undecodable,
         )
 
     def process_alert_upload(
@@ -338,11 +327,12 @@ class DispatchServer:
 
     def release_waitlist(
         self, origin_tag: str, additional_capacity: int, now: float = 0.0
-    ) -> list[DispatchRecord]:
+    ) -> list[ScoredContact]:
         """Notify up to `additional_capacity` more waitlisted recipients, in
-        stored priority order, under the original tag.
+        stored priority order, under the original tag; return the contacts
+        promoted.
 
-        Records are decrypted only here, one at a time; a record that does
+        Envelopes are decrypted only here, one at a time; one that does
         not decode is dropped without a notification and does not use
         capacity.
         Lists past their time to live at `now` are dropped first, so a
@@ -353,10 +343,11 @@ class DispatchServer:
         if bucket is None:
             raise UnknownOrigin(f"no waiting list under tag {origin_tag!r}")
         promoted, used, _ = self._send_in_order(
-            bucket.records, additional_capacity, _message(bucket.level, origin_tag)
+            bucket.contacts, additional_capacity, _message(bucket.level, origin_tag)
         )
-        del bucket.records[:used]
-        if not bucket.records:
+        # a new list: the dispatch's result still holds the old one
+        bucket.contacts = bucket.contacts[used:]
+        if not bucket.contacts:
             del self._waitlists[origin_tag]
         return promoted
 
@@ -384,5 +375,5 @@ class DispatchServer:
         """
         return {
             "waitlist_origins": len(self._waitlists),
-            "waitlist_records": sum(len(b.records) for b in self._waitlists.values()),
+            "waitlist_records": sum(len(b.contacts) for b in self._waitlists.values()),
         }

@@ -6,8 +6,11 @@ window: it expires anything older whenever the ledger is read, and
 whenever the ledger has doubled since its last purge (amortised O(1) per
 entry).  It switches to alert mode only through a one-time activation
 token validated by the dispatch server, at which point it uploads one
-score per distinct peer; the server ranks them and applies the capacity
-threshold.  The ledger never holds a plaintext contact.
+score per distinct peer; the server ranks them, applies the capacity
+threshold and returns the ranked contacts notified and those waitlisted,
+by envelope and score.  A red alert received in tracking mode may hand
+the device's own scored peers to a yellow fan-out.  Neither the ledger
+nor anything the device receives back holds a plaintext contact.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ __all__ = [
     "EncounterEntry",
     "ProximalContactList",
     "DeviceState",
-    "YellowDispatchRequest",
     "OutOfRange",
     "InvalidKey",
     "UploadFailure",
@@ -79,18 +81,6 @@ class ProximalContactList:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class YellowDispatchRequest:
-    """Second-degree fan-out request issued after receiving a red alert.
-
-    Carries the authorising red origin tag and the requester's own scored
-    peers; one hop only, a yellow alert never produces another request.
-    """
-
-    red_origin_tag: str
-    contacts: list[ScoredContact]
-
-
 def interaction_strength(entries: list[EncounterEntry], distance_cutoff: float) -> float:
     """Priority score for one peer: sum of duration * distance weight.
 
@@ -120,7 +110,6 @@ class DeviceState:
         self.mode = DeviceMode.TRACKING
         self.ledger = ProximalContactList(retention_window=retention_window)
         self.yellow_enabled = yellow_enabled
-        self.tested_positive = False
         self.tracking_threshold = tracking_threshold
         self._purge_at_length = _MIN_PURGE_LENGTH
 
@@ -218,25 +207,22 @@ class DeviceState:
         except authority.TransportError as exc:
             raise UploadFailure(str(exc)) from exc
         self.mode = DeviceMode.ALERT
-        self.tested_positive = True
         return result
 
     def handle_notification(
         self, message: AlertMessage, now: float
-    ) -> YellowDispatchRequest | None:
+    ) -> list[ScoredContact] | None:
         """Take an incoming alert; a red alert may trigger yellow fan-out.
 
-        The fan-out request is returned (not sent) and carries this
-        device's own scored peers.  Yellow alerts are never forwarded,
-        bounding the cascade at one hop.
+        For fan-out this device's own scored peers are returned (not
+        sent), to go out under the alert's origin tag; None means no
+        fan-out.  Only a tracking device fans out, and yellow alerts are
+        never forwarded, bounding the cascade at one hop.
         """
         if (
             message.level is AlertLevel.RED
             and self.yellow_enabled
-            and not self.tested_positive
+            and self.mode is DeviceMode.TRACKING
         ):
-            return YellowDispatchRequest(
-                red_origin_tag=message.origin_tag,
-                contacts=self.scored_contacts(now),
-            )
+            return self.scored_contacts(now)
         return None

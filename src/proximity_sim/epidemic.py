@@ -80,6 +80,7 @@ __all__ = [
     "AbortCapExceeded",
     "NoGrowthRoot",
     "activation_level",
+    "alerts_can_act",
     "run_replicate",
     "run_ensemble",
     "expected_daily_incidence",
@@ -203,17 +204,24 @@ def activation_level(day: int, params: SimulationParams) -> float:
     return min(1.0, (day - params.activation_day) / params.ramp_days)
 
 
+def alerts_can_act(params: SimulationParams) -> bool:
+    """Whether an alert can change a transmission rate: someone adopts,
+    k > 1 and the activation level (which never falls) leaves 0 by the
+    horizon.  When none can, each rate is a whole number of cases and the
+    series never reads the coins, so it is the same whatever the
+    alert-only fields (efficiency, quarantine_factor, activation_day,
+    ramp_days, alert_policy) hold."""
+    return (params.efficiency > 0 and params.quarantine_factor > 1
+            and activation_level(params.horizon_days, params) > 0)
+
+
 def _simulate(params: SimulationParams, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """One replicate: (new cases per day, offspring credited to each infection day)."""
     days, horizon = params.incubation_days, params.horizon_days
     spread = np.random.Generator(np.random.PCG64(derive_seed(seed, 0)))
     coins = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
     at_detection = params.alert_policy is AlertPolicy.AT_DETECTION
-    # an alert changes a rate only if someone adopts, k > 1 and the level
-    # (which never falls) leaves 0 by the horizon; otherwise each rate is a
-    # whole number of cases and the series never reads the coins
-    alerts_matter = (params.efficiency > 0 and params.quarantine_factor > 1
-                     and activation_level(horizon, params) > 0)
+    alerts_matter = alerts_can_act(params)
     never = days  # alert offset of cases that are never alerted
     # weight[a, j]: relative rate, a days after infection, of a case whose
     # alert takes effect j days after infection

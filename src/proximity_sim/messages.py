@@ -1,4 +1,9 @@
-"""Message and dispatch types shared between devices and the authority servers."""
+"""Alert and scored-contact types shared between devices and the authority servers.
+
+A device uploads `ScoredContact`s; the dispatch server answers with the
+ranked contacts it notified and those it waitlisted, by envelope and
+score, so no server result carries a plaintext contact.
+"""
 
 from __future__ import annotations
 
@@ -11,8 +16,6 @@ __all__ = [
     "AlertLevel",
     "AlertMessage",
     "ScoredContact",
-    "DispatchStatus",
-    "DispatchRecord",
     "RED_DIRECTIONS",
     "YELLOW_DIRECTIONS",
 ]
@@ -48,23 +51,3 @@ class ScoredContact:
 
     envelope: Envelope
     score: float
-
-
-class DispatchStatus(Enum):
-    SENT = "sent"
-    WAITLISTED = "waitlisted"
-
-
-@dataclass
-class DispatchRecord:
-    """Server-side outcome for one ranked recipient.
-
-    A record names its recipient only by envelope, sent or waitlisted:
-    the server decrypts a sent record's envelope to notify its recipient
-    and keeps no plaintext.
-    """
-
-    level: AlertLevel
-    score: float
-    status: DispatchStatus
-    envelope: Envelope

@@ -34,8 +34,8 @@ from .crypto import (
     generate_keypair,
     keyed_digest,
 )
-from .device import DeviceState, EncounterEntry, YellowDispatchRequest
-from .messages import AlertLevel, AlertMessage
+from .device import DeviceMode, DeviceState, EncounterEntry
+from .messages import AlertLevel, AlertMessage, ScoredContact
 
 __all__ = [
     "NonpositiveDistance",
@@ -85,16 +85,11 @@ class RadioModel:
             raise ValueError("max_radio_range must be positive")
 
 
-def rssi_at_distance(
-    distance: float, model: RadioModel, rng: np.random.Generator | None = None
-) -> float:
-    """Received signal strength (dBm) at a true distance in meters."""
+def rssi_at_distance(distance: float, model: RadioModel) -> float:
+    """Noiseless received signal strength (dBm) at a true distance in meters."""
     if distance <= 0:
         raise NonpositiveDistance(f"distance must be positive, got {distance}")
-    value = model.rssi_at_1m - 10.0 * model.path_loss_exponent * math.log10(distance)
-    if rng is not None and model.noise_sigma > 0:
-        value += rng.normal(0.0, model.noise_sigma)
-    return value
+    return model.rssi_at_1m - 10.0 * model.path_loss_exponent * math.log10(distance)
 
 
 def estimate_distance(rssi: float, model: RadioModel) -> float:
@@ -485,9 +480,9 @@ class World:
         record each direction whose estimate is inside the tracking
         threshold.
 
-        The result is exactly that of one scalar rssi_at_distance(d, radio,
-        sensing) call per direction, in recorder/peer order (a, b) then
-        (b, a), on the world's sensing stream:
+        The result is exactly that of one scalar rssi_at_distance(d, radio)
+        plus sensing.normal(0, sigma) per direction, in recorder/peer order
+        (a, b) then (b, a), on the world's sensing stream:
         - one batched normal(0, sigma, size=2m) call yields the same
           numbers and the same generator state as 2m scalar calls;
         - numpy's log10 and power take SIMD paths chosen at run time for
@@ -620,17 +615,9 @@ class World:
         key = self.issuer.issue_activation_key(self.doctor, device.user_id)
         self._log(type="key_issued", t=self.t, user_id=device.user_id, token=key.token)
         result = device.activate_alert_mode(key.token, self.dispatch_server, now=self.t)
-        self._record_and_deliver(agent.id, result, AlertLevel.RED, token=key.token)
+        self._record_and_deliver(agent.id, result, token=key.token)
 
-    def _run_yellow(self, requester_id: int, request: YellowDispatchRequest) -> None:
-        result = self.dispatch_server.process_yellow_dispatch(
-            red_origin_tag=request.red_origin_tag,
-            scored_contacts=request.contacts,
-            now=self.t,
-        )
-        self._record_and_deliver(requester_id, result, AlertLevel.YELLOW, token="")
-
-    def _record_and_deliver(self, uploader_id, result, level, token):
+    def _record_and_deliver(self, uploader_id, result, token):
         self._uploads_by_tag[result.origin_tag] = uploader_id
         self._log(
             type="upload",
@@ -638,31 +625,32 @@ class World:
             uploader=uploader_id,
             user_id=self.agents[uploader_id].device.user_id,
             origin_tag=result.origin_tag,
-            level=level.value,
+            level=result.level.value,
             token=token,
             n_sent=len(result.sent),
             n_waitlisted=len(result.waitlisted),
             decrypt_failures=result.decrypt_failures,
             retention_window=self.config.incubation_seconds,
         )
-        for record in result.records:
-            self._log(
-                type="dispatch",
-                t=self.t,
-                uploader=uploader_id,
-                recipient=self._agent_of_ciphertext[record.envelope.ciphertext],
-                level=record.level.value,
-                score=record.score,
-                status=record.status.value,
-                origin_tag=result.origin_tag,
-            )
+        for status, contacts in (("sent", result.sent), ("waitlisted", result.waitlisted)):
+            for contact in contacts:
+                self._log(
+                    type="dispatch",
+                    t=self.t,
+                    uploader=uploader_id,
+                    recipient=self._agent_of_ciphertext[contact.envelope.ciphertext],
+                    level=result.level.value,
+                    score=contact.score,
+                    status=status,
+                    origin_tag=result.origin_tag,
+                )
         self._deliver_outbox()
 
     def _deliver_outbox(self) -> None:
         """Deliver every queued notification, then run the yellow fan-out
         requests they produced, in delivery order.  Only red alerts produce
         requests, so the yellow notifications delivered in turn request none."""
-        requests: list[tuple[int, YellowDispatchRequest]] = []
+        requests: list[tuple[int, str, list[ScoredContact]]] = []
         pending = self._outbox[:]
         self._outbox.clear()
         for contact, message in pending:
@@ -676,13 +664,16 @@ class World:
                 uploader=uploader_id,
                 origin_tag=message.origin_tag,
             )
-            request = self.agents[recipient_id].device.handle_notification(
+            contacts = self.agents[recipient_id].device.handle_notification(
                 message, now=self.t
             )
-            if request is not None:
-                requests.append((recipient_id, request))
-        for requester_id, request in requests:
-            self._run_yellow(requester_id, request)
+            if contacts is not None:
+                requests.append((recipient_id, message.origin_tag, contacts))
+        for requester_id, red_origin_tag, contacts in requests:
+            result = self.dispatch_server.process_yellow_dispatch(
+                red_origin_tag=red_origin_tag, scored_contacts=contacts, now=self.t
+            )
+            self._record_and_deliver(requester_id, result, token="")
 
     # -- main loop ------------------------------------------------------------
 
@@ -769,7 +760,7 @@ class World:
             "user_id": device.user_id,
             "own_contact": device.own_contact,
             "mode": device.mode.value,
-            "tested_positive": device.tested_positive,
+            "tested_positive": device.mode is DeviceMode.ALERT,
             "yellow_enabled": device.yellow_enabled,
             "entries": [
                 {

@@ -13,7 +13,7 @@ from proximity_sim.authority import (
     ValidationOutcome,
 )
 from proximity_sim.crypto import Envelope, encode_contact, encrypt
-from proximity_sim.messages import AlertLevel, DispatchStatus, ScoredContact
+from proximity_sim.messages import AlertLevel, ScoredContact
 
 DOCTOR = DoctorCredential(doctor_id="doctor-77", certified=True)
 QUACK = DoctorCredential(doctor_id="quack-01", certified=False)
@@ -167,7 +167,7 @@ class TestAlertUpload:
             [scored(test_keypair, "+20001", 500.0), scored(test_keypair, "+20001", 500.0)],
             0.0,
         )
-        assert len(result.records) == 1
+        assert len(result.sent) == 1 and not result.waitlisted
 
     def test_anonymity_of_dispatch(self, stack, test_keypair):
         issuer, server, notifications = stack
@@ -233,7 +233,8 @@ class TestWaitlist:
         server, notifications, result = self.primed(test_keypair)
         promoted = server.release_waitlist(result.origin_tag, 1, now=50.0)
         assert opened(test_keypair, promoted) == ["+20003"]
-        assert promoted[0].status is DispatchStatus.SENT
+        # the contact the result waitlisted first; the result itself is unchanged
+        assert promoted == result.waitlisted[:1] and len(result.waitlisted) == 2
         assert notifications[-1][0] == "+20003"
         assert notifications[-1][1].origin_tag == result.origin_tag
         assert server.idle_state()["waitlist_records"] == 1
@@ -275,7 +276,7 @@ class TestYellowDispatch:
         )
         assert opened(test_keypair, yellow.sent) == ["+20009"]
         assert notifications[-1][0] == "+20009"
-        assert all(r.level is AlertLevel.YELLOW for r in yellow.records)
+        assert yellow.level is AlertLevel.YELLOW
         assert notifications[-1][1].level is AlertLevel.YELLOW
         # a yellow tag cannot authorise a further hop
         with pytest.raises(UnknownOrigin):

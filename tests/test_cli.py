@@ -138,6 +138,36 @@ class TestSweepCommand:
         assert "repeats 0.5" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config_text, axis, calls",
+        [
+            # the k=1 column shares the no-app baseline's ensemble
+            ("", "quarantine_factor=1,10", 2),
+            # no alert acts anywhere, but every column has its own r0
+            ("r0=4\nefficiency=0\nhorizon_days=20\n", "r0=2,3", 3),
+            # alerts switched on after the horizon act on no day
+            ("horizon_days=60\n", "activation_day=30,61", 2),
+        ],
+    )
+    def test_columns_whose_alerts_cannot_act_reuse_the_baseline(
+        self, tmp_path, monkeypatch, config_text, axis, calls
+    ):
+        config = tmp_path / "run.cfg"
+        config.write_text(config_text + "replicates=2\n")
+        ran = []
+        run_ensemble = cli.run_ensemble
+
+        def counting(params, base_seed):
+            ran.append(params)
+            return run_ensemble(params, base_seed)
+
+        monkeypatch.setattr(cli, "run_ensemble", counting)
+        code = run_command(
+            ["sweep", "--config", str(config), "--out", str(tmp_path / "out"), "--sweep", axis]
+        )
+        assert code == 0
+        assert len(ran) == calls
+
 
 class TestWorldCommand:
     def test_world_outputs(self, tmp_path):

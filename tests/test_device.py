@@ -193,7 +193,7 @@ class TestActivation:
         key = issuer.issue_activation_key(DoctorCredential("doc", True), device.user_id)
         result = device.activate_alert_mode(key.token, server, now=700.0)
         assert device.mode is DeviceMode.ALERT
-        assert device.tested_positive
+        assert result.level is AlertLevel.RED
         assert len(result.sent) == 1 and not result.waitlisted
         assert [contact for contact, _ in sink] == ["+20001"]
 
@@ -219,7 +219,6 @@ class TestActivation:
         with pytest.raises(InvalidKey):
             second.activate_alert_mode(key.token, server, now=0.0)
         assert second.mode is DeviceMode.TRACKING
-        assert not second.tested_positive
 
     def test_malformed_token_rejected(self, test_keypair):
         _, server, _ = make_stack(test_keypair)
@@ -272,10 +271,10 @@ class TestNotifications:
     def test_red_with_yellow_enabled_requests_fanout(self, test_keypair):
         device = make_device(yellow_enabled=True)
         device.record_encounter(envelope_for(test_keypair, "+20001"), 0.0, 60.0, -60.0, 1.0)
-        request = device.handle_notification(self.red(), now=100.0)
-        assert request is not None
-        assert request.red_origin_tag == "00000001-aabbccdd"
-        assert len(request.contacts) == 1
+        contacts = device.handle_notification(self.red(), now=100.0)
+        # the device's own scored peers, to go out under the red alert's tag
+        assert [c.envelope for c in contacts] == [envelope_for(test_keypair, "+20001")]
+        assert contacts == device.scored_contacts(now=100.0)
 
     def test_red_without_yellow_enabled_requests_nothing(self, test_keypair):
         device = make_device(yellow_enabled=False)
@@ -289,7 +288,7 @@ class TestNotifications:
 
     def test_tested_positive_does_not_fan_out(self):
         device = make_device(yellow_enabled=True)
-        device.tested_positive = True
+        device.mode = DeviceMode.ALERT
         assert device.handle_notification(self.red(), now=100.0) is None
 
 
