@@ -17,7 +17,6 @@ Library layout:
 from .epidemic import (
     AlertPolicy,
     SimulationParams,
-    DailySeries,
     EnsembleSeries,
     activation_level,
     expected_daily_incidence,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlertPolicy",
     "SimulationParams",
-    "DailySeries",
     "EnsembleSeries",
     "activation_level",
     "expected_daily_incidence",

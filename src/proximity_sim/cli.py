@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import crypto
 from .config import ParseError, RunConfig, ValidationError, parse_config, parse_sweep_axis
-from .epidemic import AlertPolicy, EnsembleSeries, SimulationParams, alerts_can_act, run_ensemble
+from .epidemic import EnsembleSeries, SimulationParams, alerts_can_act, run_ensemble
 from .report import emit_csv, emit_svg
 from .world import World, false_alert_rate, parse_contact_trace, EmptyLog
 
@@ -66,28 +66,18 @@ def _make_out_dir(out: Path) -> None:
         raise ValidationError(str(exc)) from exc
 
 
-def _ensemble_key(params: SimulationParams) -> SimulationParams:
-    """Params that run the same ensemble: where no alert can act, the
-    alert-only fields are reset, since the series does not read them."""
-    if alerts_can_act(params):
-        return params
-    return replace(
-        params, efficiency=0.0, quarantine_factor=1.0, activation_day=0, ramp_days=0,
-        alert_policy=AlertPolicy.FROM_INFECTION,
-    )
-
-
 def _run_columns(args: argparse.Namespace, params: SimulationParams, points: list):
     """Make the output directory, run the seed-coupled no-app baseline and
-    each (label, params) point, once per distinct ensemble; return the
-    ensembles, their means trimmed to the shortest, its last day, and the
-    capped replicates (exit 2 if any)."""
+    each (label, params) point, once per distinct ensemble (a point where
+    no alert can act shares its no-app twin's); return the ensembles,
+    their means trimmed to the shortest, its last day, and the capped
+    replicates (exit 2 if any)."""
     _make_out_dir(args.out)
     columns = [("baseline", params.without_app()), *points]
     runs: dict[SimulationParams, EnsembleSeries] = {}
     ensembles = []
     for label, point in columns:
-        key = _ensemble_key(point)
+        key = point if alerts_can_act(point) else point.without_app()
         if key not in runs:
             runs[key] = run_ensemble(point, args.seed)
         ensembles.append((label, runs[key]))

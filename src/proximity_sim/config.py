@@ -2,13 +2,14 @@
 
 One pair per line.  A '#' at the start of a line or after whitespace
 starts a comment; any other '#' is an error, not part of a value.
-Unknown keys are rejected, and missing keys fall back to the documented
-defaults (the headline scenario for the epidemic model, a 200-agent box
-for the micro-world).
+Unknown keys and non-finite numbers (nan, inf) are rejected, and missing
+keys fall back to the documented defaults (the headline scenario for the
+epidemic model, a 200-agent box for the micro-world).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields
 
@@ -42,6 +43,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):  # NaN passes every range check
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_policy(text: str) -> AlertPolicy:
     for policy in AlertPolicy:
         if policy.value == text:
@@ -53,7 +61,7 @@ def _parse_policy(text: str) -> AlertPolicy:
 _PARSERS = {
     "int": int,
     "int | None": int,
-    "float": float,
+    "float": _parse_float,
     "bool": _parse_bool,
     "AlertPolicy": _parse_policy,
 }

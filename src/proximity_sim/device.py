@@ -77,9 +77,6 @@ class ProximalContactList:
     retention_window: float
     entries: list[EncounterEntry] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def interaction_strength(entries: list[EncounterEntry], distance_cutoff: float) -> float:
     """Priority score for one peer: sum of duration * distance weight.

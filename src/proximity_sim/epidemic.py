@@ -75,7 +75,6 @@ from .crypto import derive_seed
 __all__ = [
     "AlertPolicy",
     "SimulationParams",
-    "DailySeries",
     "EnsembleSeries",
     "AbortCapExceeded",
     "NoGrowthRoot",
@@ -102,11 +101,11 @@ class NoGrowthRoot(Exception):
 class AbortCapExceeded(Exception):
     """Active infectious count blew past the safety cap.
 
-    Carries the partial series accumulated up to the abort day, with the
-    truncation flag set.
+    Carries the partial series: new infections per day, day 0 up to but
+    not including the abort day.
     """
 
-    def __init__(self, day: int, active: int, series: "DailySeries") -> None:
+    def __init__(self, day: int, active: int, series: np.ndarray) -> None:
         super().__init__(f"active count {active} exceeded cap on day {day}")
         self.day = day
         self.active = active
@@ -152,38 +151,23 @@ class SimulationParams:
             raise ValueError("max_active must be at least 1")
 
     def without_app(self) -> "SimulationParams":
-        """The seed-coupled no-intervention twin of this parameter set."""
-        return replace(self, efficiency=0.0)
-
-
-@dataclass
-class DailySeries:
-    """New infections per day, day 0 through the horizon."""
-
-    new_infected_per_day: np.ndarray
-    truncated: bool = False
-
-    def __len__(self) -> int:
-        return len(self.new_infected_per_day)
+        """The seed-coupled no-intervention twin of this parameter set: every
+        alert-only field reset, so no alert can act (see `alerts_can_act`)."""
+        return replace(self, efficiency=0.0, quarantine_factor=1.0, activation_day=0,
+                       ramp_days=0, alert_policy=AlertPolicy.FROM_INFECTION)
 
 
 @dataclass
 class EnsembleSeries:
-    """Replicate stack with its per-day mean and standard error."""
+    """Replicate stack with its per-day mean."""
 
     daily: np.ndarray            # shape (replicates, days)
     mean: np.ndarray
-    se: np.ndarray
-    truncated: bool = False
     aborted_replicates: list[int] = field(default_factory=list)
-
-    @property
-    def cumulative_per_replicate(self) -> np.ndarray:
-        return np.cumsum(self.daily, axis=1)
 
     def cumulative_stats(self, day: int) -> tuple[float, float]:
         """(mean, standard error) of the cumulative count at a given day."""
-        cum = self.cumulative_per_replicate[:, day].astype(float)
+        cum = self.daily[:, : day + 1].sum(axis=1).astype(float)
         n = cum.shape[0]
         se = cum.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
         return float(cum.mean()), float(se)
@@ -257,7 +241,7 @@ def _simulate(params: SimulationParams, seed: int) -> tuple[np.ndarray, np.ndarr
         lo = max(0, day - days)
         active = int(series[lo:day].sum())
         if active > params.max_active:
-            raise AbortCapExceeded(day, active, DailySeries(series[:day].copy(), truncated=True))
+            raise AbortCapExceeded(day, active, series[:day].copy())
         if alerts_matter:
             # weighted cases per source day and upload flag
             weighted = np.einsum("sj,sju->su", weight[day - lo : 0 : -1], count[lo:day])
@@ -274,38 +258,36 @@ def _simulate(params: SimulationParams, seed: int) -> tuple[np.ndarray, np.ndarr
     return series, offspring
 
 
-def run_replicate(params: SimulationParams, seed: int) -> DailySeries:
-    """One replicate's daily series; bit-identical for identical inputs."""
-    return DailySeries(_simulate(params, seed)[0])
+def run_replicate(params: SimulationParams, seed: int) -> np.ndarray:
+    """One replicate's new infections per day, day 0 through the horizon
+    (int64); bit-identical for identical inputs."""
+    return _simulate(params, seed)[0]
 
 
 def run_ensemble(params: SimulationParams, base_seed: int) -> EnsembleSeries:
-    """Mean and standard error over `params.replicates` independent runs.
+    """The daily series of `params.replicates` independent runs and their mean.
 
     Replicate r draws its seed from (base_seed, r) with a keyed digest, so
     results do not depend on execution order.  A replicate that hits the
-    activity cap contributes its partial series and flags the ensemble as
-    truncated; nothing is dropped silently.
+    activity cap contributes its partial series, every row is cut to the
+    shortest, and the capped replicates are listed in
+    `aborted_replicates`; nothing is dropped silently.
     """
     rows: list[np.ndarray] = []
     aborted: list[int] = []
     for r in range(params.replicates):
         seed = derive_seed(base_seed, r)
         try:
-            rows.append(run_replicate(params, seed).new_infected_per_day)
+            rows.append(run_replicate(params, seed))
         except AbortCapExceeded as abort:
-            rows.append(abort.series.new_infected_per_day)
+            rows.append(abort.series)
             aborted.append(r)
     length = min(len(row) for row in rows)
     stack = np.stack([row[:length] for row in rows])
     mean = stack.mean(axis=0)
-    n = stack.shape[0]
-    se = stack.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(length)
     return EnsembleSeries(
         daily=stack,
         mean=mean,
-        se=se,
-        truncated=bool(aborted),
         aborted_replicates=aborted,
     )
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .messages import AlertLevel, AlertMessage, ScoredContact
 __all__ = [
     "NonpositiveDistance",
     "EmptyLog",
-    "HealthState",
     "RadioModel",
     "WorldConfig",
     "Agent",
@@ -59,12 +57,6 @@ class NonpositiveDistance(Exception):
 
 class EmptyLog(Exception):
     """No red notifications to compute a false-alert rate from."""
-
-
-class HealthState(Enum):
-    SUSCEPTIBLE = "susceptible"
-    INFECTED = "infected"
-    DETECTED = "detected"
 
 
 @dataclass(frozen=True)
@@ -156,46 +148,26 @@ class WorldConfig:
             )
 
 
-# the health codes the world stores, indexing this tuple
+# the health codes the world stores
 _SUSCEPTIBLE, _INFECTED, _DETECTED = range(3)
-_HEALTH_STATES = (HealthState.SUSCEPTIBLE, HealthState.INFECTED, HealthState.DETECTED)
 
 
 class Agent:
-    """One agent's view of the world's state arrays.
+    """One agent's id, its device (None without the app) and a reference
+    to the world's position array, never to the world.  `position` is a
+    view of the agent's row (None in a replayed trace, where agents have
+    no position)."""
 
-    The world holds every agent's position, health and infection time in
-    arrays, one row per agent; an agent keeps its id, its device (None
-    without the app) and references to those arrays, never to the world.
-    `position` is a writable view of the agent's row (None in a replayed
-    trace, where agents have no position); assigning it moves the agent.
-    """
+    __slots__ = ("id", "device", "_positions")
 
-    __slots__ = ("id", "device", "_positions", "_health", "_infected_at")
-
-    def __init__(self, id, device, positions, health, infected_at) -> None:
+    def __init__(self, id, device, positions) -> None:
         self.id = id
         self.device = device
         self._positions = positions
-        self._health = health
-        self._infected_at = infected_at
 
     @property
     def position(self) -> np.ndarray | None:
         return None if self._positions is None else self._positions[self.id]
-
-    @position.setter
-    def position(self, value) -> None:
-        self._positions[self.id] = value
-
-    @property
-    def health(self) -> HealthState:
-        return _HEALTH_STATES[self._health[self.id]]
-
-    @property
-    def infected_at(self) -> float | None:
-        t = float(self._infected_at[self.id])
-        return None if math.isnan(t) else t
 
 
 # the lower agent index, the higher one and the true distance of each pair
@@ -271,9 +243,10 @@ class World:
 
     The world owns the agents' state as arrays indexed by agent id:
     positions and waypoints ((n, 2), None in a replayed trace), speeds,
-    health codes and infection times (NaN before infection).  Every tick
-    phase works on those arrays; `agents` holds one `Agent` per id, a
-    view of its rows plus its device.
+    health codes (`_SUSCEPTIBLE`, `_INFECTED`, `_DETECTED`) and infection
+    times (NaN before infection).  Every tick phase works on those arrays;
+    `agents` holds one `Agent` per id, its device plus a view of its
+    position row.
     """
 
     def __init__(
@@ -366,9 +339,7 @@ class World:
                     self.keypair.public, encode_contact(contact)
                 )
                 self._agent_of_ciphertext[self._envelope_of[i].ciphertext] = i
-            self.agents.append(
-                Agent(i, device, self._positions, self._health, self._infected_at)
-            )
+            self.agents.append(Agent(i, device, self._positions))
 
         self._open: dict[tuple[int, int], _OpenContact] = {}
         self._uploads_by_tag: dict[str, int] = {}

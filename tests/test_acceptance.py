@@ -201,14 +201,14 @@ def test_criterion_5_null_effect_exactness():
     silent = run_replicate(SimulationParams(activation_day=61), seed)
     elapsed = time.perf_counter() - started
     same = (
-        np.array_equal(baseline.new_infected_per_day, k_one.new_infected_per_day)
-        and np.array_equal(baseline.new_infected_per_day, silent.new_infected_per_day)
+        np.array_equal(baseline, k_one)
+        and np.array_equal(baseline, silent)
     )
     verdict(
         "5 null-effect exactness",
         same and elapsed < 5.0,
         f"k=1, efficiency=0, activation>horizon all bit-identical "
-        f"({int(baseline.new_infected_per_day.sum())} cases), "
+        f"({int(baseline.sum())} cases), "
         f"{elapsed:.1f}s (limit 5s)",
     )
 

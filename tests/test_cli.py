@@ -271,6 +271,24 @@ def test_unusable_out_is_a_configuration_error(tmp_path, capsys, monkeypatch, co
         assert err.startswith("configuration error: ") and str(out) in err
 
 
+@pytest.mark.parametrize(
+    "command, config_text, sweep",
+    [
+        ("epidemic", "quarantine_factor=nan\n", []),
+        ("sweep", "replicates=2\n", ["--sweep", "r0=2,inf"]),
+        ("world", "box_size=nan\n", []),
+    ],
+)
+def test_non_finite_float_is_a_configuration_error(tmp_path, capsys, command, config_text,
+                                                   sweep):
+    config = tmp_path / "run.cfg"
+    config.write_text(config_text)
+    out = tmp_path / "out"
+    assert run_command([command, *sweep, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--out", "--config"])
 def test_crypto_selftest_takes_no_config_or_out(flag, capsys):
     with pytest.raises(SystemExit) as excinfo:

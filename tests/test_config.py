@@ -128,6 +128,10 @@ class TestSweepAxis:
         with pytest.raises(ParseError, match=f"sweep axis repeats {re.escape(repeated)}$"):
             parse_sweep_axis(axis)
 
+    def test_non_finite_value_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="finite"):
+            parse_sweep_axis("quarantine_factor=1,nan")
+
     def test_malformed_axis(self):
         with pytest.raises(ParseError):
             parse_sweep_axis("efficiency")
@@ -204,6 +208,18 @@ class TestDerivedSchema:
         value = read(parse_config(f"{key}={text}\n", command="world"))
         assert value == expected and value != default
         assert type(value) is type(expected)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_every_float_key_refuses_a_non_finite_value(self, text):
+        checked = []
+        for command, samples in (("epidemic", EPIDEMIC_SAMPLES), ("world", WORLD_SAMPLES)):
+            for key, (_, value) in samples.items():
+                if type(value) is not float:
+                    continue
+                with pytest.raises(ParseError, match=f"line 1: bad value for '{key}'.*finite"):
+                    parse_config(f"{key}={text}\n", command=command)
+                checked.append(key)
+        assert len(checked) == 17  # 3 epidemic keys, 10 world keys and 4 radio keys
 
     def test_field_without_a_parser_fails_to_build(self):
         @dataclasses.dataclass

@@ -154,6 +154,24 @@ class TestKeygen:
             keypair_from_primes(61, e=17)
 
 
+def assert_big_key_matches_modexp_oracle(seed: int, bits: int, sizes: tuple[int, ...]) -> None:
+    """A generated key has distinct primes of the given sizes, and CRT
+    decrypt equals c^d mod n at the edges, at multiples of the primes
+    and at random ciphertexts."""
+    pair = generate_keypair(seed, bits)
+    n, d, primes = pair.public.modulus, pair.secret.exponent, pair.secret.primes
+    assert len(set(primes)) == len(sizes) and math.prod(primes) == n
+    assert tuple(r.bit_length() for r in primes) == sizes
+    # each prime's top bit is set: the product loses at most a bit per extra prime
+    assert bits - len(sizes) + 1 <= n.bit_length() <= bits
+    rand = random.Random(seed)
+    products = [a * b for i, a in enumerate(primes) for b in primes[i + 1 :]]
+    randoms = [rand.randrange(n) for _ in range(4)]
+    for c in [0, 1, n - 1, *primes, *products, *randoms]:
+        envelope = Envelope(ciphertext=c, key_tag=pair.key_tag)
+        assert decrypt(pair, envelope) == pow(c, d, n)
+
+
 class TestEnvelope:
     def test_toy_vector(self):
         pair = keypair_from_primes(61, 53, e=17)
@@ -216,16 +234,11 @@ class TestEnvelope:
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", [0, 5, 11])
     def test_2048_bit_keys_match_modexp_oracle(self, seed):
-        pair = generate_keypair(seed, 2048)
-        n, d, primes = pair.public.modulus, pair.secret.exponent, pair.secret.primes
-        assert len(set(primes)) == 3 and math.prod(primes) == n
-        assert 2046 <= n.bit_length() <= 2048
-        rand = random.Random(seed)
-        products = [a * b for i, a in enumerate(primes) for b in primes[i + 1 :]]
-        randoms = [rand.randrange(n) for _ in range(4)]
-        for c in [0, 1, n - 1, *primes, *products, *randoms]:
-            envelope = Envelope(ciphertext=c, key_tag=pair.key_tag)
-            assert decrypt(pair, envelope) == pow(c, d, n)
+        assert_big_key_matches_modexp_oracle(seed, 2048, (683, 683, 682))
+
+    @pytest.mark.slow
+    def test_4096_bit_key_matches_modexp_oracle(self):
+        assert_big_key_matches_modexp_oracle(0, 4096, (1024,) * 4)
 
     def test_contact_ciphertext_differs_from_plaintext(self, test_keypair):
         # sanity, not a security claim: packed contacts are not fixed points

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from proximity_sim.crypto import derive_seed
 from proximity_sim.epidemic import (
     AbortCapExceeded,
     AlertPolicy,
-    DailySeries,
     NoGrowthRoot,
     SimulationParams,
     _simulate,
@@ -40,7 +40,7 @@ def conditional_z(params: SimulationParams, seed: int, rate: float) -> np.ndarra
     """z of each day's new cases against their exact law given the days
     before, for runs in which every case transmits at `rate` per day on
     days s+1..s+incubation_days: Poisson(rate * cases infectious that day)."""
-    series = run_replicate(params, seed).new_infected_per_day
+    series = run_replicate(params, seed)
     days = params.incubation_days
     lam = np.array([rate * series[max(0, d - days) : d].sum()
                     for d in range(1, len(series))])
@@ -80,7 +80,7 @@ def reference_simulate(params: SimulationParams, seed: int) -> tuple[np.ndarray,
         lo = max(0, day - days)
         active = int(series[lo:day].sum())
         if active > params.max_active:
-            raise AbortCapExceeded(day, active, DailySeries(series[:day].copy(), truncated=True))
+            raise AbortCapExceeded(day, active, series[:day].copy())
         weighted = np.einsum("sj,sju->su", weight[day - lo : 0 : -1], count[lo:day])
         rates = weighted.sum(axis=1)
         born = spread.poisson(params.r0 / days * rates)
@@ -125,8 +125,7 @@ class TestReferenceEngine:
             _simulate(params, 11)
         assert (actual.value.day, actual.value.active) == (expected.value.day,
                                                             expected.value.active)
-        assert np.array_equal(actual.value.series.new_infected_per_day,
-                              expected.value.series.new_infected_per_day)
+        assert np.array_equal(actual.value.series, expected.value.series)
 
     @pytest.mark.parametrize("policy", list(AlertPolicy))
     def test_mean_completed_offspring_matches(self, policy, monkeypatch):
@@ -222,13 +221,14 @@ class TestReplicates:
                                                 horizon_days=20), 1)
         expected = np.zeros(21, np.int64)
         expected[0] = 7
-        assert np.array_equal(series.new_infected_per_day, expected)
+        assert series.dtype == np.int64
+        assert np.array_equal(series, expected)
 
     def test_determinism(self):
         params = SimulationParams(horizon_days=40)
         a = run_replicate(params, 987654321)
         b = run_replicate(params, 987654321)
-        assert np.array_equal(a.new_infected_per_day, b.new_infected_per_day)
+        assert np.array_equal(a, b)
 
     def test_null_effect_equivalences(self):
         seed = 24680
@@ -238,7 +238,21 @@ class TestReplicates:
         k_one_at_detection = run_replicate(
             SimulationParams(quarantine_factor=1.0, alert_policy=AlertPolicy.AT_DETECTION), seed)
         for twin in (k_one, silent, k_one_at_detection):
-            assert np.array_equal(baseline.new_infected_per_day, twin.new_infected_per_day)
+            assert np.array_equal(baseline, twin)
+
+    @pytest.mark.parametrize("policy", list(AlertPolicy))
+    def test_without_app_resets_only_fields_the_baseline_does_not_read(self, policy):
+        params = SimulationParams(horizon_days=40, efficiency=0.6, quarantine_factor=4.0,
+                                  activation_day=5, ramp_days=3, alert_policy=policy)
+        twin = params.without_app()
+        assert not epidemic.alerts_can_act(twin)
+        assert (twin.r0, twin.incubation_days, twin.initial_infected, twin.horizon_days,
+                twin.replicates, twin.max_active) == (3.0, 14, 10, 40, 50, 5_000_000)
+        assert twin.without_app() == twin
+        # the same series as resetting efficiency alone
+        for seed in (1, 7):
+            assert np.array_equal(run_replicate(twin, seed),
+                                  run_replicate(replace(params, efficiency=0.0), seed))
 
     def test_conservation(self):
         # every case after day 0 is credited as offspring to one infection day
@@ -251,8 +265,9 @@ class TestReplicates:
         params = SimulationParams(max_active=50, horizon_days=60)
         with pytest.raises(AbortCapExceeded) as info:
             run_replicate(params, 5)
-        assert info.value.series.truncated
+        # the partial series runs from day 0 up to the abort day
         assert len(info.value.series) == info.value.day
+        assert info.value.day <= params.horizon_days
 
     def test_at_detection_policy_alerts_after_detection_only(self):
         # Every detected case rolls the upload coin at the level of its
@@ -282,28 +297,31 @@ class TestEnsemble:
         params = SimulationParams(replicates=1, horizon_days=30)
         ensemble = run_ensemble(params, 77)
         lone = run_replicate(params, derive_seed(77, 0))
-        assert np.array_equal(ensemble.daily[0], lone.new_infected_per_day)
-        assert np.array_equal(ensemble.mean, lone.new_infected_per_day.astype(float))
+        assert np.array_equal(ensemble.daily[0], lone)
+        assert np.array_equal(ensemble.mean, lone.astype(float))
 
     def test_order_free_seed_derivation(self):
         params = SimulationParams(replicates=6, horizon_days=25)
         ensemble = run_ensemble(params, 55)
         # recompute replicate 3 in isolation
         lone = run_replicate(params, derive_seed(55, 3))
-        assert np.array_equal(ensemble.daily[3], lone.new_infected_per_day)
+        assert np.array_equal(ensemble.daily[3], lone)
 
     def test_relative_se_of_cumulative_is_small(self):
         # empirical fixture: 50 replicates keep the day-30 cumulative tight
         ensemble = run_ensemble(HEADLINE, 42)
         mean, se = ensemble.cumulative_stats(30)
         assert se / mean < 0.15
+        cumulative = np.cumsum(ensemble.daily, axis=1)[:, 30].astype(float)
+        assert mean == cumulative.mean()
+        assert se == cumulative.std(ddof=1) / np.sqrt(len(cumulative))
 
     def test_aborting_replicate_marks_truncation(self):
         params = SimulationParams(max_active=60, horizon_days=50, replicates=3)
         ensemble = run_ensemble(params, 4)
-        assert ensemble.truncated
         assert ensemble.aborted_replicates  # reported, not dropped
         assert ensemble.daily.shape[0] == 3
+        assert ensemble.daily.shape[1] <= params.horizon_days  # cut to the partial series
 
     def test_growth_phase_matches_renewal_oracle(self):
         params = SimulationParams(efficiency=0.0, horizon_days=30)
@@ -340,7 +358,8 @@ class TestExpectedDailyIncidence:
         params = SimulationParams(replicates=100)
         ensemble = run_ensemble(params, 3)
         expected = expected_daily_incidence(params)
-        z = (ensemble.mean[1:] - expected[1:]) / ensemble.se[1:]
+        se = ensemble.daily[:, 1:].std(axis=0, ddof=1) / np.sqrt(params.replicates)
+        z = (ensemble.mean[1:] - expected[1:]) / se
         assert np.abs(z).max() < 4.5
 
     def test_at_detection_rejected(self):

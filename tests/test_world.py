@@ -18,7 +18,6 @@ from proximity_sim.config import parse_config
 from proximity_sim.crypto import decode_contact, decrypt, keypair_from_primes
 from proximity_sim.world import (
     EmptyLog,
-    HealthState,
     NonpositiveDistance,
     RadioModel,
     World,
@@ -614,12 +613,11 @@ def test_detected_agents_do_not_move():
     positions_after_detection: dict[int, np.ndarray] = {}
     for _ in range(steps):
         world.tick()
-        for agent in world.agents:
-            if agent.health is HealthState.DETECTED:
-                if agent.id in positions_after_detection:
-                    assert np.array_equal(positions_after_detection[agent.id], agent.position)
-                else:
-                    positions_after_detection[agent.id] = agent.position.copy()
+        for i in np.flatnonzero(world._health == _DETECTED).tolist():
+            if i in positions_after_detection:
+                assert np.array_equal(positions_after_detection[i], world._positions[i])
+            else:
+                positions_after_detection[i] = world._positions[i].copy()
     assert positions_after_detection
 
 
@@ -683,11 +681,11 @@ def test_each_agent_walks_speed_times_tick_of_path(box_size, speed_max, tick_sec
 
 def test_agent_landing_on_its_waypoint_stops_there():
     world = small_world(None, agent_count=2, box_size=10.0)
-    world.agents[0].position = (1.0, 1.0)
+    world._positions[0] = (1.0, 1.0)
     world._waypoints[0] = (4.0, 5.0)
     world._speeds[0] = 0.5  # 5 m in a 10 s tick: exactly the leg
     world._move()
-    assert world.agents[0].position.tolist() == [4.0, 5.0]
+    assert world._positions[0].tolist() == [4.0, 5.0]
     assert world._waypoints[0].tolist() != [4.0, 5.0]
 
 
@@ -702,22 +700,22 @@ def test_agent_state_agrees_with_the_event_log():
     infected_at = {e["target"]: e["t"] for e in world.events if e["type"] == "infection"}
     detected_at = {e["agent"]: e["t"] for e in world.events if e["type"] == "detected"}
     seeds = 0
-    for agent in world.agents:
-        if agent.id in infected_at:
-            assert agent.infected_at == infected_at[agent.id]
-        elif agent.infected_at is not None:
-            assert agent.infected_at == 0.0
+    for i, (health, t) in enumerate(zip(world._health.tolist(), world._infected_at.tolist())):
+        if i in infected_at:
+            assert t == infected_at[i]
+        elif not math.isnan(t):
+            assert t == 0.0
             seeds += 1
-        if agent.id in detected_at:
-            assert agent.health is HealthState.DETECTED
-            delay = detected_at[agent.id] - agent.infected_at
+        if i in detected_at:
+            assert health == _DETECTED
+            delay = detected_at[i] - t
             assert 200.0 <= delay < 200.0 + world.config.tick_seconds
-        elif agent.infected_at is not None:
-            assert agent.health is HealthState.INFECTED
+        elif not math.isnan(t):
+            assert health == _INFECTED
         else:
-            assert agent.health is HealthState.SUSCEPTIBLE
+            assert health == _SUSCEPTIBLE
     assert seeds == 3
-    assert {a.health for a in world.agents} == set(HealthState)
+    assert set(world._health.tolist()) == {_SUSCEPTIBLE, _INFECTED, _DETECTED}
 
 
 def contact_tuples(contacts) -> list[tuple[int, int, float]]:
@@ -739,8 +737,7 @@ def world_at(positions, radio_range: float, box_size: float = 50.0) -> World:
         None, agent_count=len(positions), box_size=box_size,
         radio=RadioModel(noise_sigma=0.0, max_radio_range=radio_range),
     )
-    for agent, position in zip(world.agents, positions):
-        agent.position = position.copy()
+    world._positions[:] = positions
     return world
 
 
@@ -754,7 +751,7 @@ def assert_matches_dense(positions, radio_range: float) -> list:
 def test_assigned_position_moves_the_agent_the_contact_search_sees():
     world = world_at([(5.0, 5.0), (40.0, 40.0), (30.0, 5.0)], 10.0)
     assert contact_tuples(world._contacts()) == []
-    world.agents[2].position = (8.0, 9.0)
+    world._positions[2] = (8.0, 9.0)
     assert contact_tuples(world._contacts()) == [(0, 2, 5.0)]
     world.agents[1].position[:] = (8.0, 13.0)  # the row is a view
     assert contact_tuples(world._contacts()) == [(0, 1, math.hypot(3.0, 8.0)),
