@@ -12,7 +12,8 @@ result names the ranked contacts notified and those waitlisted, by
 envelope and score, so it carries no phone number, and the capacity
 overflow (the waiting list, keyed by an anonymous origin tag, with a
 bounded time to live) stays encrypted until it is released.  Nothing
-else survives a transaction.
+else survives a transaction.  An alert is its level and origin tag, and
+a refused upload's `RejectedUpload` reaches the device's caller as is.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from enum import Enum
 from typing import Callable
 
 from .crypto import KeyPair, MalformedNumber, decode_contact, decrypt, keyed_digest
-from .messages import (
-    RED_DIRECTIONS,
-    YELLOW_DIRECTIONS,
-    AlertLevel,
-    AlertMessage,
-    ScoredContact,
-)
+from .messages import AlertLevel, AlertMessage, ScoredContact
 
 __all__ = [
     "ActivationKey",
@@ -38,7 +33,6 @@ __all__ = [
     "NotCertified",
     "RejectedUpload",
     "UnknownOrigin",
-    "TransportError",
     "KeyIssuer",
     "DispatchServer",
 ]
@@ -54,10 +48,6 @@ class RejectedUpload(Exception):
 
 class UnknownOrigin(Exception):
     """No waiting list (or no authentic red dispatch) under this tag."""
-
-
-class TransportError(Exception):
-    """Simulated transport fault between a device and the server."""
 
 
 @dataclass
@@ -119,14 +109,6 @@ class KeyIssuer:
         key = ActivationKey(token=token, bound_user_id=user_id)
         self.registry[token] = key
         return key
-
-
-def _message(level: AlertLevel, origin_tag: str) -> AlertMessage:
-    return AlertMessage(
-        level=level,
-        directions=RED_DIRECTIONS if level is AlertLevel.RED else YELLOW_DIRECTIONS,
-        origin_tag=origin_tag,
-    )
 
 
 @dataclass
@@ -276,7 +258,7 @@ class DispatchServer:
         self.purge_expired_waitlists(now)
         tag = self._mint_origin_tag(level)
         sent, used, undecodable = self._send_in_order(
-            ranked, self._capacity, _message(level, tag)
+            ranked, self._capacity, AlertMessage(level, tag)
         )
         waitlisted = ranked[used:]
         if waitlisted:
@@ -343,7 +325,7 @@ class DispatchServer:
         if bucket is None:
             raise UnknownOrigin(f"no waiting list under tag {origin_tag!r}")
         promoted, used, _ = self._send_in_order(
-            bucket.contacts, additional_capacity, _message(bucket.level, origin_tag)
+            bucket.contacts, additional_capacity, AlertMessage(bucket.level, origin_tag)
         )
         # a new list: the dispatch's result still holds the old one
         bucket.contacts = bucket.contacts[used:]

@@ -96,9 +96,9 @@ class PublicKey:
 class SecretKey:
     """Private exponent d plus its RFC 8017 CRT form over u >= 2 primes:
     the primes r_i, exponents d_i = d mod (r_i - 1) and coefficients
-    t_i = (r_1 * ... * r_(i-1))^-1 mod r_i, so t_1 = 1."""
+    t_i = (r_1 * ... * r_(i-1))^-1 mod r_i, so t_1 = 1.  The modulus n is
+    read from the public key."""
 
-    modulus: int
     exponent: int
     primes: tuple[int, ...]
     exponents: tuple[int, ...]
@@ -109,10 +109,6 @@ class SecretKey:
 class KeyPair:
     public: PublicKey
     secret: SecretKey
-
-    def __post_init__(self) -> None:
-        if self.public.modulus != self.secret.modulus:
-            raise ValueError("public and secret halves disagree on the modulus")
 
     @property
     def key_tag(self) -> str:
@@ -143,8 +139,8 @@ def _sieve_product() -> int:
     return factors[0]
 
 
-def _is_probable_prime(n: int, rand: random.Random, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
-    """Miller-Rabin with witnesses drawn from the seeded stream.
+def _is_probable_prime(n: int, rand: random.Random) -> bool:
+    """Miller-Rabin over MILLER_RABIN_ROUNDS witnesses from the seeded stream.
 
     A round passes only if a^(n-1) = 1 mod n, hence mod every divisor of
     n.  So when n shares a factor g with the primes below _SIEVE_BOUND, a
@@ -167,7 +163,7 @@ def _is_probable_prime(n: int, rand: random.Random, rounds: int = MILLER_RABIN_R
     while d % 2 == 0:
         d //= 2
         s += 1
-    for _ in range(rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = rand.randrange(2, n - 1)
         if shared > 1 and pow(a, n - 1, shared) != 1:
             return False
@@ -239,7 +235,6 @@ def _keypair(primes: tuple[int, ...], e: int, d: int) -> KeyPair:
         coefficients.append(pow(product, -1, r))
         product *= r
     secret = SecretKey(
-        modulus=product,
         exponent=d,
         primes=primes,
         exponents=tuple(d % (r - 1) for r in primes),
@@ -276,7 +271,7 @@ def decrypt(pair: KeyPair, envelope: Envelope) -> int:
         )
     secret = pair.secret
     c = envelope.ciphertext
-    if not 0 <= c < secret.modulus:
+    if not 0 <= c < pair.public.modulus:
         raise ValueError("ciphertext outside the modulus range")
     m, product = 0, 1
     for r, d, t in zip(secret.primes, secret.exponents, secret.coefficients):

@@ -32,22 +32,12 @@ __all__ = [
     "ProximalContactList",
     "DeviceState",
     "OutOfRange",
-    "InvalidKey",
-    "UploadFailure",
     "interaction_strength",
 ]
 
 
 class OutOfRange(Exception):
     """Encounter distance beyond the tracking threshold; a world bug."""
-
-
-class InvalidKey(Exception):
-    """Activation token rejected by the server."""
-
-
-class UploadFailure(Exception):
-    """Transport failed mid-upload; the device stays in tracking mode."""
 
 
 class DeviceMode(Enum):
@@ -187,22 +177,18 @@ class DeviceState:
 
         On success every scored peer is uploaded; the server ranks them
         and applies its own capacity threshold, which the device cannot
-        set.  On rejection or transport failure the device is left in
-        tracking mode.
+        set.  The mode changes only after the server answers, so whatever
+        it raises (`authority.RejectedUpload` for a refused token) leaves
+        the device in tracking mode.
         """
         if self.mode is not DeviceMode.TRACKING:
             raise ValueError("device is already in alert mode")
-        try:
-            result = server.process_alert_upload(
-                token=token,
-                user_id=self.user_id,
-                scored_contacts=self.scored_contacts(now),
-                now=now,
-            )
-        except authority.RejectedUpload as exc:
-            raise InvalidKey(str(exc)) from exc
-        except authority.TransportError as exc:
-            raise UploadFailure(str(exc)) from exc
+        result = server.process_alert_upload(
+            token=token,
+            user_id=self.user_id,
+            scored_contacts=self.scored_contacts(now),
+            now=now,
+        )
         self.mode = DeviceMode.ALERT
         return result
 

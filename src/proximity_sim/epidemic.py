@@ -65,7 +65,8 @@ draws nothing for it, so the coin stream is the same as if it were made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -129,6 +130,9 @@ class SimulationParams:
     alert_policy: AlertPolicy = AlertPolicy.FROM_INFECTION
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # NaN would pass every range check below
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.r0 < 0:
             raise ValueError("r0 must be nonnegative")
         if self.incubation_days < 1:
@@ -159,11 +163,14 @@ class SimulationParams:
 
 @dataclass
 class EnsembleSeries:
-    """Replicate stack with its per-day mean."""
+    """Replicate stack; its per-day mean is read from the stack."""
 
     daily: np.ndarray            # shape (replicates, days)
-    mean: np.ndarray
     aborted_replicates: list[int] = field(default_factory=list)
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.daily.mean(axis=0)
 
     def cumulative_stats(self, day: int) -> tuple[float, float]:
         """(mean, standard error) of the cumulative count at a given day."""
@@ -284,12 +291,7 @@ def run_ensemble(params: SimulationParams, base_seed: int) -> EnsembleSeries:
             aborted.append(r)
     length = min(len(row) for row in rows)
     stack = np.stack([row[:length] for row in rows])
-    mean = stack.mean(axis=0)
-    return EnsembleSeries(
-        daily=stack,
-        mean=mean,
-        aborted_replicates=aborted,
-    )
+    return EnsembleSeries(daily=stack, aborted_replicates=aborted)
 
 
 def expected_daily_incidence(params: SimulationParams) -> np.ndarray:

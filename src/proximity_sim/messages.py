@@ -2,7 +2,8 @@
 
 A device uploads `ScoredContact`s; the dispatch server answers with the
 ranked contacts it notified and those it waitlisted, by envelope and
-score, so no server result carries a plaintext contact.
+score, so no server result carries a plaintext contact.  An alert's
+directions follow from its level alone.
 """
 
 from __future__ import annotations
@@ -41,8 +42,11 @@ class AlertMessage:
     """Notification as delivered to a device; never identifies the sender."""
 
     level: AlertLevel
-    directions: str
     origin_tag: str
+
+    @property
+    def directions(self) -> str:
+        return RED_DIRECTIONS if self.level is AlertLevel.RED else YELLOW_DIRECTIONS
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -69,6 +69,9 @@ class RadioModel:
     max_radio_range: float = 10.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # NaN would pass every range check below
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.path_loss_exponent <= 0:
             raise ValueError("path_loss_exponent must be positive")
         if self.noise_sigma < 0:
@@ -109,6 +112,9 @@ class WorldConfig:
     radio: RadioModel = field(default_factory=RadioModel)
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # NaN would pass every range check below
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.agent_count < 2:
             raise ValueError("agent_count must be at least 2")
         if self.box_size <= 0:
@@ -194,13 +200,25 @@ class _OpenContact:
     min_true_distance: float
 
 
+def _interval_fault(a, b, start, end, distance) -> str | None:
+    """Why a contact interval cannot be replayed, or None: it needs two distinct
+    nonnegative ids, a finite nonempty span and a finite positive distance."""
+    if a < 0 or b < 0:
+        return "negative agent id"
+    if not all(math.isfinite(v) for v in (start, end, distance)):
+        return "non-finite time or distance"
+    if a == b or start >= end or distance <= 0:
+        return "inconsistent interval"
+    return None
+
+
 def parse_contact_trace(text: str) -> list[tuple[int, int, float, float, float]]:
     """Parse a replayed contact trace.
 
     One interval per line: agent_a,agent_b,start_s,end_s,true_distance_m.
-    Blank lines and '#' comments are skipped.  Agent ids must be
-    nonnegative integers and times and distances finite numbers; a bad
-    line raises ValueError naming its line number.
+    Blank lines and '#' comments are skipped.  Each interval must pass
+    the rule `World` applies to a trace; a bad line raises ValueError
+    naming its line number.
     """
     intervals = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -215,12 +233,9 @@ def parse_contact_trace(text: str) -> list[tuple[int, int, float, float, float]]
             start, end, distance = float(parts[2]), float(parts[3]), float(parts[4])
         except ValueError as exc:
             raise ValueError(f"trace line {lineno}: {exc}") from None
-        if a < 0 or b < 0:
-            raise ValueError(f"trace line {lineno}: negative agent id")
-        if not all(math.isfinite(v) for v in (start, end, distance)):
-            raise ValueError(f"trace line {lineno}: non-finite time or distance")
-        if a == b or start >= end or distance <= 0:
-            raise ValueError(f"trace line {lineno}: inconsistent interval")
+        fault = _interval_fault(a, b, start, end, distance)
+        if fault:
+            raise ValueError(f"trace line {lineno}: {fault}")
         intervals.append((min(a, b), max(a, b), start, end, distance))
     return intervals
 
@@ -247,6 +262,10 @@ class World:
     times (NaN before infection).  Every tick phase works on those arrays;
     `agents` holds one `Agent` per id, its device plus a view of its
     position row.
+
+    A replayed trace is refused at construction unless it names agents of
+    this world, passes `parse_contact_trace`'s interval rule and has no
+    overlapping intervals of a pair; a replay is a world without positions.
     """
 
     def __init__(
@@ -262,22 +281,25 @@ class World:
         )
         self.keypair = keypair or generate_keypair(derive_seed(seed, 1), config.key_bits)
         if trace is not None:
-            for agent in (i for a, b, *_ in trace for i in (a, b)):
-                if not 0 <= agent < config.agent_count:
-                    raise ValueError(
-                        f"trace names agent {agent}, config has {config.agent_count}"
-                    )
+            for index, interval in enumerate(trace):
+                for agent in interval[:2]:
+                    if not 0 <= agent < config.agent_count:
+                        raise ValueError(
+                            f"trace names agent {agent}, config has {config.agent_count}"
+                        )
+                fault = _interval_fault(*interval)
+                if fault:
+                    raise ValueError(f"trace interval {index}: {fault}")
             # a pair live twice in one tick would be sensed and exposed twice
             spans = sorted((min(a, b), max(a, b), start, end) for a, b, start, end, _ in trace)
             for (a, b, _, end), (c, d, start, _) in zip(spans, spans[1:]):
                 if (a, b) == (c, d) and start < end:
                     raise ValueError(f"trace has overlapping intervals for agents {a} and {b}")
-            # replayed in one sweep: the nonempty intervals in range, popped as they begin
+            # replayed in one sweep: the intervals in range, popped as they begin
             reach = config.radio.max_radio_range
-            in_range = (iv for iv in trace if iv[2] < iv[3] and iv[4] <= reach)
+            in_range = (iv for iv in trace if iv[4] <= reach)
             self._upcoming = sorted(in_range, key=lambda iv: iv[2], reverse=True)
             self._live: dict[tuple[int, int], tuple[float, float]] = {}  # (a, b) -> (end, d)
-        self.trace = trace
         self.t = 0.0
         self.last_tick_t: float | None = None  # the t at which tick() last ran
         self.events: list[dict] = []
@@ -373,7 +395,7 @@ class World:
     def _contacts(self) -> _Contacts:
         """Pairs in radio range this tick, as three arrays: the lower and
         the higher agent index and the true distance, in (i, j) order."""
-        if self.trace is not None:
+        if self._positions is None:  # a replay
             # admit the intervals that have begun and drop those that have
             # ended: t never decreases, and a pair is live once at a time
             upcoming, live = self._upcoming, self._live
@@ -650,7 +672,7 @@ class World:
 
     def tick(self) -> None:
         self.last_tick_t = self.t
-        if self.trace is None:
+        if self._positions is not None:
             self._move()
         contacts = self._contacts()
         self._sense(contacts)

@@ -138,6 +138,26 @@ class TestSweepCommand:
         assert "repeats 0.5" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_invalid_point_exit_code(self, tmp_path, capsys):
+        # a finite value the parameters refuse: no column runs, nothing is written
+        out = tmp_path / "sweep"
+        assert run_command(
+            ["sweep", "--sweep", "efficiency=0.5,1.5", "--out", str(out)]
+        ) == 1
+        assert "efficiency must be within [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cap_abort_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "tiny.cfg"
+        config.write_text("max_active=40\nreplicates=2\nhorizon_days=40\n")
+        out = tmp_path / "capped"
+        assert run_command(
+            ["sweep", "--config", str(config), "--seed", "3", "--out", str(out),
+             "--sweep", "efficiency=0.5,1"]
+        ) == 2
+        assert "activity cap hit during sweep" in capsys.readouterr().err
+        assert (out / "sweep_summary.csv").exists()
+
     @pytest.mark.parametrize(
         "config_text, axis, calls",
         [

@@ -15,7 +15,8 @@ from proximity_sim.config import (
     parse_config,
     parse_sweep_axis,
 )
-from proximity_sim.epidemic import AlertPolicy
+from proximity_sim.epidemic import AlertPolicy, SimulationParams
+from proximity_sim.world import RadioModel, WorldConfig
 
 
 class TestEpidemicConfig:
@@ -66,6 +67,66 @@ class TestEpidemicConfig:
     def test_activation_beyond_horizon_is_legal(self):
         params = parse_config("activation_day=999\n", command="epidemic").sim_params
         assert params.activation_day == 999
+
+
+# every float field of the parameter dataclasses, as the config schema reads them
+FLOAT_FIELDS = [
+    (cls, f.name)
+    for cls in (SimulationParams, RadioModel, WorldConfig)
+    for f in dataclasses.fields(cls)
+    if f.type == "float"
+]
+
+# (class, keyword arguments, text the error names): one case per range check
+# of each constructor, then every float field at nan, inf and -inf
+REFUSED = [
+    (SimulationParams, {"r0": -1.0}, "r0"),
+    (SimulationParams, {"incubation_days": 0}, "incubation_days"),
+    (SimulationParams, {"quarantine_factor": 0.5}, "quarantine_factor"),
+    (SimulationParams, {"activation_day": -1}, "activation_day"),
+    (SimulationParams, {"ramp_days": -1}, "ramp_days"),
+    (SimulationParams, {"efficiency": 1.5}, "efficiency"),
+    (SimulationParams, {"efficiency": -0.1}, "efficiency"),
+    (SimulationParams, {"initial_infected": 0}, "initial_infected"),
+    (SimulationParams, {"horizon_days": 0}, "horizon_days"),
+    (SimulationParams, {"replicates": 0}, "replicates"),
+    (SimulationParams, {"max_active": 0}, "max_active"),
+    (RadioModel, {"path_loss_exponent": 0.0}, "path_loss_exponent"),
+    (RadioModel, {"noise_sigma": -1.0}, "noise_sigma"),
+    (RadioModel, {"max_radio_range": 0.0}, "max_radio_range"),
+    (WorldConfig, {"agent_count": 1}, "agent_count"),
+    (WorldConfig, {"box_size": 0.0}, "box_size"),
+    (WorldConfig, {"infection_range": 0.0}, "infection_range"),
+    (WorldConfig, {"infection_prob_per_second": 1.5}, "infection_prob_per_second"),
+    (WorldConfig, {"tracking_threshold": 0.0}, "tracking_threshold"),
+    (WorldConfig, {"tick_seconds": 0.0}, "tick_seconds"),
+    (WorldConfig, {"app_user_fraction": -0.5}, "app_user_fraction"),
+    (WorldConfig, {"incubation_seconds": 0.0}, "incubation_seconds"),
+    (WorldConfig, {"horizon_seconds": 0.0}, "horizon_seconds"),
+    (WorldConfig, {"initial_infected": 0}, "initial_infected"),
+    (WorldConfig, {"initial_infected": 201}, "initial_infected"),
+    (WorldConfig, {"speed_min": -0.1}, "speed_min"),
+    (WorldConfig, {"speed_min": 0.5, "speed_max": 0.2}, "speed_max"),
+    (WorldConfig, {"dispatch_capacity": -1}, "dispatch_capacity"),
+    (WorldConfig, {"key_bits": 64}, "key_bits"),
+] + [
+    (cls, {name: value}, f"{name} must be finite")
+    for cls, name in FLOAT_FIELDS
+    for value in (float("nan"), float("inf"), float("-inf"))
+]
+
+
+class TestParameterConstructors:
+    def test_every_float_field_is_listed(self):
+        assert len(FLOAT_FIELDS) == 17  # 3 epidemic, 4 radio and 10 world fields
+
+    @pytest.mark.parametrize(
+        "cls, kwargs, message", REFUSED,
+        ids=[f"{cls.__name__}-{kwargs}" for cls, kwargs, _ in REFUSED],
+    )
+    def test_constructor_refuses(self, cls, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(**kwargs)
 
 
 class TestWorldConfigParsing:

@@ -8,16 +8,14 @@ from proximity_sim.authority import (
     DispatchServer,
     DoctorCredential,
     KeyIssuer,
-    TransportError,
+    RejectedUpload,
 )
 from proximity_sim.crypto import encode_contact, encrypt, keypair_from_primes
 from proximity_sim.device import (
     DeviceMode,
     DeviceState,
     EncounterEntry,
-    InvalidKey,
     OutOfRange,
-    UploadFailure,
     interaction_strength,
 )
 from proximity_sim.messages import AlertLevel, AlertMessage, RED_DIRECTIONS, YELLOW_DIRECTIONS
@@ -216,14 +214,14 @@ class TestActivation:
         second = make_device(user_id="user-0001", own_contact="+10002")
         key = issuer.issue_activation_key(DoctorCredential("doc", True), "user-0001")
         first.activate_alert_mode(key.token, server, now=0.0)
-        with pytest.raises(InvalidKey):
+        with pytest.raises(RejectedUpload, match="already_consumed"):
             second.activate_alert_mode(key.token, server, now=0.0)
         assert second.mode is DeviceMode.TRACKING
 
     def test_malformed_token_rejected(self, test_keypair):
         _, server, _ = make_stack(test_keypair)
         device = make_device()
-        with pytest.raises(InvalidKey):
+        with pytest.raises(RejectedUpload, match="unknown_key"):
             device.activate_alert_mode("not-a-token", server, now=0.0)
         assert device.mode is DeviceMode.TRACKING
 
@@ -240,11 +238,11 @@ class TestActivation:
             def process_alert_upload(self, **kwargs):
                 self.calls += 1
                 if self.calls == 1:
-                    raise TransportError("bus dropped the message")
+                    raise ConnectionError("bus dropped the message")
                 return self.inner.process_alert_upload(**kwargs)
 
         flaky = FlakyServer(server)
-        with pytest.raises(UploadFailure):
+        with pytest.raises(ConnectionError):
             device.activate_alert_mode(key.token, flaky, now=0.0)
         assert device.mode is DeviceMode.TRACKING
         # the token survived the transport fault, retry succeeds
@@ -262,11 +260,14 @@ class TestActivation:
 
 class TestNotifications:
     def red(self, tag="00000001-aabbccdd"):
-        return AlertMessage(AlertLevel.RED, RED_DIRECTIONS, origin_tag=tag)
+        return AlertMessage(AlertLevel.RED, origin_tag=tag)
 
     def yellow(self):
-        return AlertMessage(AlertLevel.YELLOW, YELLOW_DIRECTIONS,
-                            origin_tag="00000002-eeff0011")
+        return AlertMessage(AlertLevel.YELLOW, origin_tag="00000002-eeff0011")
+
+    def test_directions_follow_the_level(self):
+        assert self.red().directions == RED_DIRECTIONS
+        assert self.yellow().directions == YELLOW_DIRECTIONS
 
     def test_red_with_yellow_enabled_requests_fanout(self, test_keypair):
         device = make_device(yellow_enabled=True)

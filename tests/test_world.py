@@ -123,6 +123,11 @@ class TestWorldConfig:
         with pytest.raises(ValueError):
             WorldConfig(key_bits=64)
 
+    def test_test_scale_key_caps_the_agent_count(self):
+        config = WorldConfig(agent_count=90_000, initial_infected=1, key_bits=32)
+        with pytest.raises(ValueError, match="at most 89999 agents"):
+            World(config, seed=1)
+
 
 class TestTraceReplay:
     def test_parse_round_trip(self):
@@ -153,6 +158,24 @@ class TestTraceReplay:
             small_world(trace=[(0, 5, 0.0, 10.0, 2.0)])
         with pytest.raises(ValueError, match="agent -1"):
             small_world(trace=[(-1, 1, 0.0, 10.0, 2.0)])
+
+    @pytest.mark.parametrize(
+        "interval, fault",
+        [
+            ((0, 1, 0.0, 10.0, 0.0), "inconsistent interval"),  # zero distance
+            ((0, 1, 0.0, 10.0, -1.0), "inconsistent interval"),  # negative distance
+            ((1, 1, 0.0, 10.0, 2.0), "inconsistent interval"),  # self-pair
+            ((0, 1, 0.0, 10.0, math.nan), "non-finite time or distance"),
+            ((0, 1, 0.0, math.inf, 2.0), "non-finite time or distance"),
+            ((0, 1, 10.0, 10.0, 2.0), "inconsistent interval"),  # empty
+            ((0, 1, 10.0, 0.0, 2.0), "inconsistent interval"),  # reversed
+        ],
+    )
+    def test_world_refuses_the_intervals_the_parser_refuses(self, interval, fault):
+        with pytest.raises(ValueError, match=f"trace interval 1: {fault}"):
+            small_world(trace=[(0, 1, 20.0, 30.0, 2.0), interval])
+        with pytest.raises(ValueError, match=f"trace line 2: {fault}"):
+            parse_contact_trace("0,1,20,30,2\n" + ",".join(map(str, interval)) + "\n")
 
     def test_overlapping_intervals_of_a_pair_rejected(self):
         with pytest.raises(ValueError, match="overlapping intervals for agents 0 and 1"):
