@@ -13,7 +13,6 @@ byte-deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,7 +21,14 @@ from . import crypto
 from .config import ParseError, RunConfig, ValidationError, parse_config, parse_sweep_axis
 from .epidemic import EnsembleSeries, SimulationParams, alerts_can_act, run_ensemble
 from .report import emit_csv, emit_svg
-from .world import World, false_alert_rate, parse_contact_trace, EmptyLog
+from .world import (
+    EVENT_FIELDS,
+    EmptyLog,
+    World,
+    false_alert_rate,
+    json_line_writer,
+    parse_contact_trace,
+)
 
 __all__ = ["main", "run_command"]
 
@@ -129,6 +135,16 @@ def _run_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+# the bus_trace.jsonl message of each event type that is one
+_BUS_MESSAGES = {
+    "key_request": "KEY_REQUEST",
+    "key_issued": "KEY_ISSUE",
+    "upload": "ALERT_UPLOAD",
+    "notify": "NOTIFY",
+    "waitlist_release": "WAITLIST_RELEASE",
+}
+
+
 def _run_world(args: argparse.Namespace) -> int:
     run = _load_config(args)
     trace = None
@@ -140,39 +156,33 @@ def _run_world(args: argparse.Namespace) -> int:
         raise ValidationError(str(exc)) from exc
     _make_out_dir(args.out)
     world.run()
-    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps builds per call
-    with open(args.out / "events.jsonl", "w", newline="\n") as handle:
+    # each line as json.dumps(record, sort_keys=True) writes it, from the
+    # event type's fixed fields: events.jsonl holds every event, and
+    # bus_trace.jsonl the message events, their "type" given as "message"
+    event_lines = {
+        kind: json_line_writer(fields, type=kind) for kind, fields in EVENT_FIELDS.items()
+    }
+    bus_lines = {
+        kind: json_line_writer(EVENT_FIELDS[kind], message=message)
+        for kind, message in _BUS_MESSAGES.items()
+    }
+    dispatch_rows = ["t,uploader,recipient,level,score,status,origin_tag"]
+    with open(args.out / "events.jsonl", "w", newline="\n") as events_file, \
+            open(args.out / "bus_trace.jsonl", "w", newline="\n") as bus_file:
         for event in world.events:
-            handle.write(encode(event) + "\n")
-    with open(args.out / "bus_trace.jsonl", "w", newline="\n") as handle:
-        bus_kinds = {
-            "key_request": "KEY_REQUEST",
-            "key_issued": "KEY_ISSUE",
-            "upload": "ALERT_UPLOAD",
-            "notify": "NOTIFY",
-            "waitlist_release": "WAITLIST_RELEASE",
-        }
-        for event in world.events:
-            kind = bus_kinds.get(event["type"])
-            if kind is None:
-                continue
-            record = {"message": kind}
-            record.update(
-                (k, v) for k, v in event.items() if k != "type"
-            )
-            handle.write(encode(record) + "\n")
-    dispatches = [e for e in world.events if e["type"] == "dispatch"]
-    lines = ["t,uploader,recipient,level,score,status,origin_tag"]
-    lines += [
-        f"{d['t']},{d['uploader']},{d['recipient']},{d['level']},"
-        f"{d['score']:.6f},{d['status']},{d['origin_tag']}"
-        for d in dispatches
-    ]
-    (args.out / "dispatch_log.csv").write_text("\n".join(lines) + "\n", newline="\n")
+            kind = event["type"]
+            events_file.write(event_lines[kind](event) + "\n")
+            if kind in bus_lines:
+                bus_file.write(bus_lines[kind](event) + "\n")
+            elif kind == "dispatch":
+                dispatch_rows.append(
+                    f"{event['t']},{event['uploader']},{event['recipient']},{event['level']},"
+                    f"{event['score']:.6f},{event['status']},{event['origin_tag']}"
+                )
+    (args.out / "dispatch_log.csv").write_text("\n".join(dispatch_rows) + "\n", newline="\n")
     with open(args.out / "devices.jsonl", "w", newline="\n") as handle:
-        for agent in world.agents:  # one snapshot at a time
-            if agent.device is not None:
-                handle.write(encode(world.device_snapshot(agent.device)) + "\n")
+        for line in world.device_lines():  # one record at a time
+            handle.write(line + "\n")
     summary = world.summary()
     try:
         rate = false_alert_rate(world.events, run.world_config.infection_range)

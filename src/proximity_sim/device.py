@@ -45,7 +45,7 @@ class DeviceMode(Enum):
     ALERT = "alert"
 
 
-@dataclass
+@dataclass(slots=True)
 class EncounterEntry:
     """One contiguous close-range contact, peer identity encrypted."""
 
@@ -123,13 +123,7 @@ class DeviceState:
             )
         if duration < 0:
             raise ValueError("duration must be nonnegative")
-        entry = EncounterEntry(
-            peer_envelope=peer_envelope,
-            started_at=started_at,
-            duration=duration,
-            mean_rssi=mean_rssi,
-            estimated_distance=estimated_distance,
-        )
+        entry = EncounterEntry(peer_envelope, started_at, duration, mean_rssi, estimated_distance)
         self.ledger.entries.append(entry)
         if len(self.ledger.entries) >= self._purge_at_length:
             self.purge_expired(started_at)
@@ -142,7 +136,8 @@ class DeviceState:
         retained.  Idempotent; returns how many entries were removed.
         """
         cutoff = now - self.ledger.retention_window
-        kept = [e for e in self.ledger.entries if e.ended_at >= cutoff]
+        # e.ended_at, inlined: the same float without a property call per entry
+        kept = [e for e in self.ledger.entries if e.started_at + e.duration >= cutoff]
         removed = len(self.ledger.entries) - len(kept)
         self.ledger.entries = kept
         self._purge_at_length = max(2 * len(kept), _MIN_PURGE_LENGTH)

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -43,6 +46,11 @@ __all__ = [
     "WorldConfig",
     "Agent",
     "World",
+    "EVENT_FIELDS",
+    "DEVICE_FIELDS",
+    "ENTRY_FIELDS",
+    "NUMBER_FIELDS",
+    "json_line_writer",
     "rssi_at_distance",
     "estimate_distance",
     "false_alert_rate",
@@ -157,6 +165,92 @@ class WorldConfig:
 # the health codes the world stores
 _SUSCEPTIBLE, _INFECTED, _DETECTED = range(3)
 
+# The fields of each event type the world logs, sorted; every event also
+# has its "type".  The CLI writes each events.jsonl and bus_trace.jsonl
+# line from this table.
+EVENT_FIELDS: dict[str, tuple[str, ...]] = {
+    "encounter": (
+        "end", "mean_estimated_distance", "min_true_distance", "peer", "recorder", "start",
+    ),
+    "infection": ("distance", "source", "t", "target"),
+    "detected": ("agent", "t"),
+    "key_request": ("doctor", "t", "user_id"),
+    "key_issued": ("t", "token", "user_id"),
+    "upload": (
+        "decrypt_failures", "level", "n_sent", "n_waitlisted", "origin_tag",
+        "retention_window", "t", "token", "uploader", "user_id",
+    ),
+    "dispatch": ("level", "origin_tag", "recipient", "score", "status", "t", "uploader"),
+    "notify": ("level", "origin_tag", "recipient", "t", "uploader"),
+    "waitlist_release": ("origin_tag", "released", "t"),
+}
+# the fields of a device_snapshot record and of each of its ledger entries,
+# sorted
+DEVICE_FIELDS = ("entries", "mode", "own_contact", "tested_positive", "user_id", "yellow_enabled")
+ENTRY_FIELDS = (
+    "ciphertext", "duration", "estimated_distance", "key_tag", "mean_rssi", "started_at",
+)
+# The fields whose value is always a Python int or a finite Python float,
+# so that its repr is its JSON text.  A notification's `uploader` is None
+# when no upload carries its origin tag, so it is not one of them.
+NUMBER_FIELDS = frozenset({
+    "agent", "decrypt_failures", "distance", "duration", "end", "estimated_distance",
+    "mean_estimated_distance", "mean_rssi", "min_true_distance", "n_sent", "n_waitlisted",
+    "peer", "recipient", "recorder", "released", "retention_window", "score", "source",
+    "start", "started_at", "t", "target",
+})
+
+# the JSON text of every other value the world logs, as json.dumps writes
+# it; any other type, such as a numpy scalar, is a KeyError here
+_JSON_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json_text(value) -> str:
+    return _JSON_TEXT[value.__class__](value)
+
+
+def _json_template(keys: Iterable[str], fixed: dict[str, str]) -> str:
+    """A %-format of one JSON object with `keys` in order, as json.dumps
+    writes it: each `fixed` key's string value written in, a %r slot for
+    each of NUMBER_FIELDS and a %s slot, for its JSON text, for each other."""
+    members = (
+        encode_basestring_ascii(key) + ": "
+        + (
+            encode_basestring_ascii(fixed[key]) if key in fixed
+            else "%r" if key in NUMBER_FIELDS
+            else "%s"
+        )
+        for key in keys
+    )
+    return "{" + ", ".join(members) + "}"
+
+
+def json_line_writer(fields: tuple[str, ...], **fixed: str) -> Callable[[dict], str]:
+    """A function that writes a record holding `fields` as
+    json.dumps(record, sort_keys=True) does, with each `fixed` key and its
+    string value added to the record."""
+    keys = sorted([*fields, *fixed])
+    template = _json_template(keys, fixed)
+    slots = [key for key in keys if key not in fixed]
+    get = itemgetter(*slots) if len(slots) > 1 else lambda record: (record[slots[0]],)
+    texts = [i for i, key in enumerate(slots) if key not in NUMBER_FIELDS]
+    if not texts:
+        return lambda record: template % get(record)
+
+    def write(record: dict) -> str:
+        values = list(get(record))
+        for i in texts:
+            values[i] = _json_text(values[i])
+        return template % tuple(values)
+
+    return write
+
 
 class Agent:
     """One agent's id, its device (None without the app) and a reference
@@ -190,14 +284,6 @@ def _adjacency_ranks(cells: np.ndarray) -> np.ndarray:
     values, inverse = np.unique(cells, return_inverse=True)
     steps = np.minimum(np.diff(values), 2.0)
     return np.concatenate(([0.0], np.cumsum(steps))).astype(np.int64)[inverse]
-
-
-@dataclass
-class _OpenContact:
-    entry: EncounterEntry
-    ticks: int
-    rssi_sum: float
-    min_true_distance: float
 
 
 def _interval_fault(a, b, start, end, distance) -> str | None:
@@ -290,8 +376,10 @@ class World:
                 fault = _interval_fault(*interval)
                 if fault:
                     raise ValueError(f"trace interval {index}: {fault}")
+            # each pair as (lower, higher), the order parse_contact_trace stores
+            trace = [(min(a, b), max(a, b), start, end, d) for a, b, start, end, d in trace]
             # a pair live twice in one tick would be sensed and exposed twice
-            spans = sorted((min(a, b), max(a, b), start, end) for a, b, start, end, _ in trace)
+            spans = sorted(interval[:4] for interval in trace)
             for (a, b, _, end), (c, d, start, _) in zip(spans, spans[1:]):
                 if (a, b) == (c, d) and start < end:
                     raise ValueError(f"trace has overlapping intervals for agents {a} and {b}")
@@ -363,13 +451,19 @@ class World:
                 self._agent_of_ciphertext[self._envelope_of[i].ciphertext] = i
             self.agents.append(Agent(i, device, self._positions))
 
-        self._open: dict[tuple[int, int], _OpenContact] = {}
+        # (recorder, peer) -> [entry, ticks, rssi_sum, min_true_distance]
+        self._open: dict[tuple[int, int], list] = {}
         self._uploads_by_tag: dict[str, int] = {}
+        # what summary() reports, counted as events are logged
+        self._counts = dict.fromkeys(EVENT_FIELDS, 0)
+        # (lower, higher, start) of each encounter only one direction has logged
+        self._one_way: set[tuple[int, int, float]] = set()
 
     # -- event plumbing -----------------------------------------------------
 
     def _log(self, **event) -> None:
         self.events.append(event)
+        self._counts[event["type"]] += 1
 
     # -- per-tick phases ----------------------------------------------------
 
@@ -409,8 +503,10 @@ class World:
             return first, second, np.array([live[pair][1] for pair in pairs], dtype=float)
         positions = self._positions
         first, second = self._candidate_pairs(positions)
-        deltas = positions[first] - positions[second]
-        dist = np.sqrt((deltas**2).sum(axis=1))
+        # np.take and one addition per pair: several times faster than row
+        # indexing and a sum over rows of two, with the same results
+        deltas = np.take(positions, first, axis=0) - np.take(positions, second, axis=0)
+        dist = np.sqrt(deltas[:, 0] ** 2 + deltas[:, 1] ** 2)
         near = dist <= self.config.radio.max_radio_range
         first, second, dist = first[near], second[near], dist[near]
         order = np.argsort(first * len(positions) + second)
@@ -510,6 +606,7 @@ class World:
             (radio.rssi_at_1m - rough_rssi) / (10.0 * radio.path_loss_exponent)
         )
         maybe = np.flatnonzero(rough <= cfg.tracking_threshold * (1.0 + 1e-9))
+        agents, envelope_of, open_contacts = self.agents, self._envelope_of, self._open
         touched: set[tuple[int, int]] = set()
         for recorder, peer, true_d, shadowing in zip(
             recorders[maybe].tolist(),
@@ -523,46 +620,46 @@ class World:
                 continue
             key = (recorder, peer)
             touched.add(key)
-            open_contact = self._open.get(key)
-            if open_contact is None:
-                entry = self.agents[recorder].device.record_encounter(
-                    peer_envelope=self._envelope_of[peer],
-                    started_at=self.t,
-                    duration=dt,
-                    mean_rssi=rssi,
-                    estimated_distance=est,
+            held = open_contacts.get(key)
+            if held is None:
+                # through the device instance, where a caller may wrap it
+                entry = agents[recorder].device.record_encounter(
+                    envelope_of[peer], self.t, dt, rssi, est
                 )
-                self._open[key] = _OpenContact(
-                    entry=entry, ticks=1, rssi_sum=rssi, min_true_distance=true_d
-                )
+                open_contacts[key] = [entry, 1, rssi, true_d]
             else:
-                open_contact.ticks += 1
-                open_contact.rssi_sum += rssi
-                open_contact.min_true_distance = min(
-                    open_contact.min_true_distance, true_d
-                )
-                entry = open_contact.entry
+                entry = held[0]
+                held[1] += 1
+                held[2] += rssi
+                held[3] = min(held[3], true_d)
                 entry.duration += dt
-                entry.mean_rssi = open_contact.rssi_sum / open_contact.ticks
-                entry.estimated_distance = estimate_distance(
-                    entry.mean_rssi, radio
-                )
+                entry.mean_rssi = held[2] / held[1]
+                entry.estimated_distance = estimate_distance(entry.mean_rssi, radio)
         # a tick without contact closes the encounter
-        for key in sorted(set(self._open) - touched):
+        for key in sorted(set(open_contacts) - touched):
             self._close_contact(key)
 
     def _close_contact(self, key: tuple[int, int]) -> None:
-        open_contact = self._open.pop(key)
-        entry = open_contact.entry
-        self._log(
-            type="encounter",
-            recorder=key[0],
-            peer=key[1],
-            start=entry.started_at,
-            end=entry.ended_at,
-            min_true_distance=open_contact.min_true_distance,
-            mean_estimated_distance=entry.estimated_distance,
-        )
+        entry, _, _, min_true_distance = self._open.pop(key)
+        recorder, peer = key
+        start = entry.started_at
+        self.events.append({
+            "type": "encounter",
+            "recorder": recorder,
+            "peer": peer,
+            "start": start,
+            "end": entry.ended_at,
+            "min_true_distance": min_true_distance,
+            "mean_estimated_distance": entry.estimated_distance,
+        })
+        self._counts["encounter"] += 1
+        # (recorder, peer, start) is unique, so the pair's key is held only
+        # until its second direction closes
+        pair = (recorder, peer, start) if recorder < peer else (peer, recorder, start)
+        if pair in self._one_way:
+            self._one_way.remove(pair)
+        else:
+            self._one_way.add(pair)
 
     def _transmit(self, contacts: _Contacts) -> None:
         """Draw one uniform per pair that exposes a susceptible agent to an
@@ -707,31 +804,17 @@ class World:
     # -- reporting ------------------------------------------------------------
 
     def summary(self) -> dict:
-        """Event counts.  An encounter is asymmetric when one agent alone
-        recorded it: (recorder, peer, start) is unique, so a pair's key is
-        held only until its second direction shows up."""
-        counts = dict.fromkeys(("infection", "detected", "upload", "notify"), 0)
-        encounters = 0
-        one_way: set[tuple[int, int, float]] = set()
-        for e in self.events:
-            kind = e["type"]
-            if kind == "encounter":
-                encounters += 1
-                rec, peer = e["recorder"], e["peer"]
-                key = (min(rec, peer), max(rec, peer), e["start"])
-                if key in one_way:
-                    one_way.remove(key)
-                else:
-                    one_way.add(key)
-            elif kind in counts:
-                counts[kind] += 1
+        """Counts of what the world has logged, kept as it logs them, so
+        they do not read `events`.  An encounter is asymmetric when one
+        agent alone recorded it."""
+        counts = self._counts
         return {
             "agents": self.config.agent_count,
             "app_users": int(self._has_app.sum()),
             "infections": counts["infection"],
             "detected": counts["detected"],
-            "encounters": encounters,
-            "asymmetric_encounters": len(one_way),
+            "encounters": counts["encounter"],
+            "asymmetric_encounters": len(self._one_way),
             "uploads": counts["upload"],
             "notifications": counts["notify"],
         }
@@ -747,30 +830,65 @@ class World:
             device.purge_expired(self.last_tick_t)
         return device.ledger.entries
 
-    def device_snapshot(self, device: DeviceState) -> dict:
-        """One device's state record (the fixture/state-file schema)."""
+    @staticmethod
+    def _device_scalars(device: DeviceState) -> dict:
+        """A device's state record without its ledger entries."""
         return {
             "user_id": device.user_id,
             "own_contact": device.own_contact,
             "mode": device.mode.value,
             "tested_positive": device.mode is DeviceMode.ALERT,
             "yellow_enabled": device.yellow_enabled,
-            "entries": [
-                {
-                    "key_tag": e.peer_envelope.key_tag,
-                    "ciphertext": str(e.peer_envelope.ciphertext),
-                    "started_at": e.started_at,
-                    "duration": e.duration,
-                    "mean_rssi": e.mean_rssi,
-                    "estimated_distance": e.estimated_distance,
-                }
-                for e in self._ledger(device)
-            ],
         }
+
+    def device_snapshot(self, device: DeviceState) -> dict:
+        """One device's state record (the fixture/state-file schema)."""
+        record = self._device_scalars(device)
+        record["entries"] = [
+            {
+                "key_tag": e.peer_envelope.key_tag,
+                "ciphertext": str(e.peer_envelope.ciphertext),
+                "started_at": e.started_at,
+                "duration": e.duration,
+                "mean_rssi": e.mean_rssi,
+                "estimated_distance": e.estimated_distance,
+            }
+            for e in self._ledger(device)
+        ]
+        return record
 
     def device_snapshots(self) -> list[dict]:
         """Every app user's state record, in agent order."""
         return [self.device_snapshot(a.device) for a in self.agents if a.device is not None]
+
+    def device_lines(self) -> Iterator[str]:
+        """Every app user's state record as its devices.jsonl line, in agent
+        order: json.dumps(snapshot, sort_keys=True) of `device_snapshot`,
+        with each ciphertext's decimal text made once (a 2048-bit one has
+        617 digits)."""
+        device_format = _json_template(DEVICE_FIELDS, {})
+        entry_format = _json_template(ENTRY_FIELDS, {})
+        ciphertexts: dict[int, str] = {}
+        for agent in self.agents:
+            device = agent.device
+            if device is None:
+                continue
+            entries = []
+            for e in self._ledger(device):
+                envelope = e.peer_envelope
+                ciphertext = ciphertexts.get(envelope.ciphertext)
+                if ciphertext is None:
+                    ciphertext = encode_basestring_ascii(str(envelope.ciphertext))
+                    ciphertexts[envelope.ciphertext] = ciphertext
+                entries.append(entry_format % (  # in ENTRY_FIELDS order
+                    ciphertext, e.duration, e.estimated_distance,
+                    encode_basestring_ascii(envelope.key_tag), e.mean_rssi, e.started_at,
+                ))
+            scalars = self._device_scalars(device)
+            yield device_format % (  # "entries" sorts first
+                "[" + ", ".join(entries) + "]",
+                *[_json_text(scalars[key]) for key in DEVICE_FIELDS[1:]],
+            )
 
 
 def global_ledger_view(world: World) -> dict[str, list[EncounterEntry]]:

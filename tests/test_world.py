@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import gc
+import json
 import math
+import re
+import sys
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +19,13 @@ from hypothesis import strategies as st
 from proximity_sim.authority import UnknownOrigin
 from proximity_sim.cli import run_command
 from proximity_sim.config import parse_config
-from proximity_sim.crypto import decode_contact, decrypt, keypair_from_primes
+from proximity_sim.crypto import Envelope, decode_contact, decrypt, keypair_from_primes
+from proximity_sim.device import DeviceMode, EncounterEntry
 from proximity_sim.world import (
+    DEVICE_FIELDS,
+    ENTRY_FIELDS,
+    EVENT_FIELDS,
+    NUMBER_FIELDS,
     EmptyLog,
     NonpositiveDistance,
     RadioModel,
@@ -28,6 +37,7 @@ from proximity_sim.world import (
     estimate_distance,
     false_alert_rate,
     global_ledger_view,
+    json_line_writer,
     parse_contact_trace,
     rssi_at_distance,
 )
@@ -206,8 +216,8 @@ class TestTraceReplay:
 
     def test_sweep_equals_the_per_tick_filter(self):
         # random back-to-back and gapped intervals, some beyond radio range
-        # and some on 0.7 s tick boundaries, against the filter the sweep
-        # replaced
+        # and some on 0.7 s tick boundaries, each pair given higher id first,
+        # against the filter the sweep replaced
         rng = np.random.default_rng(11)
         ticks = [0.0]
         while ticks[-1] < 60.0:
@@ -220,10 +230,26 @@ class TestTraceReplay:
         world = small_world(trace, agent_count=30, tick_seconds=0.7, horizon_seconds=60.0)
         radio_range = world.config.radio.max_radio_range
         while world.t < 65.0:
-            expected = sorted((a, b, d) for a, b, start, end, d in trace
+            expected = sorted((min(a, b), max(a, b), d) for a, b, start, end, d in trace
                               if start <= world.t < end and d <= radio_range)
             assert contact_tuples(world._contacts()) == expected
             world.tick()
+
+    def test_pair_order_does_not_change_the_replay(self):
+        # with shadowing, each direction of a pair draws its own noise, so
+        # a pair given higher id first must still be sensed lower id first
+        trace = [(0, 1, 0.0, 100.0, 2.0), (2, 3, 50.0, 200.0, 2.5), (1, 3, 120.0, 300.0, 1.5)]
+        reversed_pairs = [(b, a, start, end, d) for a, b, start, end, d in trace]
+        worlds = []
+        for intervals in (trace, reversed_pairs):
+            world = small_world(intervals, seed=3, agent_count=4,
+                                radio=RadioModel(noise_sigma=2.0))
+            world.run()
+            worlds.append(world)
+        ordered, reversed_world = worlds
+        assert ordered.events == reversed_world.events
+        assert ordered.device_snapshots() == reversed_world.device_snapshots()
+        assert any(s["entries"] for s in ordered.device_snapshots())
 
     def test_gap_tick_closes_and_reopens(self):
         trace = [(0, 1, 0.0, 100.0, 2.0), (0, 1, 200.0, 300.0, 2.0)]
@@ -347,8 +373,14 @@ class TestInfectionAndProtocol:
 
     def test_noise_may_break_symmetry_but_is_counted(self):
         world = self.run_protocol_world(radio=RadioModel(noise_sigma=3.0))
-        summary = world.summary()
-        assert summary["asymmetric_encounters"] >= 0  # reported, not forbidden
+        # recounted from the log: the encounters one direction alone logged
+        directions: dict[tuple, int] = {}
+        for e in world.events:
+            if e["type"] == "encounter":
+                key = (min(e["recorder"], e["peer"]), max(e["recorder"], e["peer"]), e["start"])
+                directions[key] = directions.get(key, 0) + 1
+        one_way = sum(1 for n in directions.values() if n == 1)
+        assert world.summary()["asymmetric_encounters"] == one_way > 0
 
 
 class TestLedgerView:
@@ -476,14 +508,26 @@ class TestReportMemory:
         assert peak < 100_000
 
     def test_summary_holds_no_set_of_every_encounter(self):
-        world = small_world(static_pair_trace(2.0, 100.0))
-        world.events = encounter_events(20_000)
-        summary, peak = traced_peak(world.summary)
+        # 50 disjoint pairs in contact every other tick: 20,000 symmetric
+        # encounters, each logged in both directions
+        pairs, cycles = 50, 400
+        trace = [(2 * p, 2 * p + 1, 20.0 * c, 20.0 * c + 10.0, 2.0)
+                 for c in range(cycles) for p in range(pairs)]
+        world = small_world(trace, agent_count=2 * pairs, horizon_seconds=20.0 * cycles)
+        world.run()
+        summary = world.summary()
         assert summary["encounters"] == 40_000
         assert summary["asymmetric_encounters"] == 0
-        assert peak < 100_000
-        del world.events[1]  # one direction of the first encounter
+        # the one-way keys never outnumber the pairs that close in one tick
+        assert sys.getsizeof(world._one_way) < 10_000
+        # one direction closed while the other is still open counts once
+        world = small_world(static_pair_trace(2.0, 100.0))
+        world.tick()
+        world._close_contact((0, 1))
         assert world.summary()["asymmetric_encounters"] == 1
+        world.flush_open_encounters()
+        assert world.summary()["asymmetric_encounters"] == 0
+        assert world.summary()["encounters"] == 2
 
 
 class TestYellowFanOut:
@@ -1223,3 +1267,88 @@ def test_recorded_contacts_replay_their_run(name):
     assert {"infection", "encounter", "notify"} <= {e["type"] for e in recorder.events}
     assert replay.events == recorder.events
     assert replay.device_snapshots() == recorder.device_snapshots()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WORLDS))
+def test_logged_records_follow_the_schema(name):
+    text, seed, _ = GOLDEN_WORLDS[name]
+    world = World(parse_config(text, command="world").world_config, seed=seed)
+    world.run()
+    records = list(world.events)
+    for snapshot in world.device_snapshots():
+        assert tuple(sorted(snapshot)) == DEVICE_FIELDS
+        for entry in snapshot["entries"]:
+            assert tuple(sorted(entry)) == ENTRY_FIELDS
+            records.append(entry)
+    for event in world.events:
+        assert sorted(event) == sorted(["type", *EVENT_FIELDS[event["type"]]])
+        # a numpy scalar's repr is not its JSON text
+        assert {type(value) for value in event.values()} <= {int, float, str, type(None)}
+    for record in records:  # a number field's repr is its JSON text
+        numbers = [value for key, value in record.items() if key in NUMBER_FIELDS]
+        assert {type(value) for value in numbers} <= {int, float}
+        assert all(math.isfinite(value) for value in numbers)
+
+
+# every value type the world logs, with the floats whose shortest text is
+# easy to get wrong and strings that need escaping
+NUMBERS = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**60), 2**60).map(float),
+    st.sampled_from([-0.0, 5e-324, 1e-7, 1e16, 1e22, 123456789.0, -1.5e-300]),
+)
+TEXTS = st.one_of(st.text(), st.text(alphabet='a"\\/%s\n\x00\x1f\u00e9\u2028\U0001f600'))
+SCALARS = st.one_of(st.none(), st.booleans(), NUMBERS, TEXTS)
+
+
+class TestEventSchema:
+    @given(kind=st.sampled_from(sorted(EVENT_FIELDS)), data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_event_line_is_json_dumps(self, kind, data):
+        # a notification names no uploader when no upload carries its tag
+        nullable = {"uploader"}
+        event = {
+            field: data.draw(
+                st.none() | NUMBERS if field in nullable
+                else NUMBERS if field in NUMBER_FIELDS
+                else SCALARS,
+                label=field,
+            )
+            for field in EVENT_FIELDS[kind]
+        }
+        event["type"] = kind
+        assert json_line_writer(EVENT_FIELDS[kind], type=kind)(event) == json.dumps(
+            event, sort_keys=True
+        )
+        message = dict(event, message="NOTIFY")
+        del message["type"]
+        assert json_line_writer(EVENT_FIELDS[kind], message="NOTIFY")(event) == json.dumps(
+            message, sort_keys=True
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_device_line_is_json_dumps(self, data):
+        world = small_world(static_pair_trace(2.0, 100.0))
+        ciphertexts = st.one_of(st.integers(0, 2**2048), st.sampled_from([0, 7, 2**2047 + 1]))
+        for agent in world.agents:
+            device = agent.device
+            device.user_id, device.own_contact = data.draw(TEXTS), data.draw(TEXTS)
+            device.yellow_enabled = data.draw(st.booleans())
+            device.mode = data.draw(st.sampled_from(DeviceMode))
+            device.ledger.entries = [
+                EncounterEntry(Envelope(data.draw(ciphertexts), data.draw(TEXTS)),
+                               *(data.draw(NUMBERS) for _ in range(4)))
+                for _ in range(data.draw(st.integers(0, 4)))
+            ]
+        expected = [json.dumps(s, sort_keys=True) for s in world.device_snapshots()]
+        assert list(world.device_lines()) == expected
+
+    def test_readme_lists_the_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        match = re.search(r"Event schema:.*?```\n(.*?)```", readme, re.DOTALL)
+        assert match, "README has no event schema listing"
+        rows = map(str.split, match.group(1).splitlines())
+        listed = {name: tuple(fields) for name, *fields in rows}
+        assert listed == {**EVENT_FIELDS, "device": DEVICE_FIELDS, "entry": ENTRY_FIELDS}
