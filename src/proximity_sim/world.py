@@ -273,8 +273,9 @@ class Agent:
 # the lower agent index, the higher one and the true distance of each pair
 _Contacts = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-# more candidate pairs than this in one tick is a crowd the contact search
-# would take minutes and gigabytes over: fail with a clear error instead
+# more candidate pairs than this in one tick (the pairs the contact search
+# would test, counted from its slot runs before any per-pair array exists)
+# is a crowd it would take minutes and gigabytes over: fail clearly instead
 _MAX_CANDIDATE_PAIRS = 50_000_000
 
 
@@ -362,6 +363,7 @@ class World:
         trace: list[tuple[int, int, float, float, float]] | None = None,
     ) -> None:
         self.config = config
+        seed &= 0xFFFFFFFFFFFFFFFF  # its low 64 bits, as derive_seed reads it
         self._motion, population, self._sensing, self._transmission = (
             np.random.Generator(np.random.PCG64(derive_seed(seed, k))) for k in (0, 2, 3, 4)
         )
@@ -508,21 +510,25 @@ class World:
         deltas = np.take(positions, first, axis=0) - np.take(positions, second, axis=0)
         dist = np.sqrt(deltas[:, 0] ** 2 + deltas[:, 1] ** 2)
         near = dist <= self.config.radio.max_radio_range
-        first, second, dist = first[near], second[near], dist[near]
+        a, b, dist = first[near], second[near], dist[near]
+        first, second = np.minimum(a, b), np.maximum(a, b)
         order = np.argsort(first * len(positions) + second)
         return first[order], second[order], dist[order]
 
     def _candidate_pairs(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Index pairs (i < j) of agents in the same or adjacent grid cells.
+        """Index pairs of agents in the same or adjacent grid cells, each
+        unordered pair once, in no particular order.
 
         A cell list (Allen & Tildesley, Computer Simulation of Liquids,
         1987, sec. 5.3).  Cells are squares a hair wider than the radio
         range and np.floor_divide bins exactly, so every pair whose computed
         distance passes the range test lies in adjacent cells despite
-        rounding.  Each axis is renumbered over its occupied columns, and
-        only occupied cells are indexed, so the work is O(agents + pairs)
-        whatever the size of the box.  Each pair of neighbouring cells is
-        visited once, through the half shell of offsets ahead of a cell.
+        rounding.  Each axis is renumbered over its occupied columns, so
+        the work is O(agents + pairs) whatever the size of the box.  With
+        the agents sorted by cell key, an agent's partners ahead of it are
+        two runs of slots: the rest of its cell and the cell above it
+        (keys up to key + 1), and the three cells of the next column (keys
+        key + width - 1 to key + width + 1).
         """
         side = self.config.radio.max_radio_range * (1.0 + 1e-12)
         cells = np.floor_divide(positions, side)
@@ -531,19 +537,12 @@ class World:
         width = int(row.max()) + 2  # (x, width - 1) is never occupied
         key = column * width + row
         by_cell = np.argsort(key, kind="stable")
-        cell_key, start, size = np.unique(
-            key[by_cell], return_index=True, return_counts=True
+        key = key[by_cell]
+        starts = np.concatenate(
+            (np.arange(1, len(key) + 1), np.searchsorted(key, key + width - 1))
         )
-        blocks_a, blocks_b = [np.arange(len(cell_key))], [np.arange(len(cell_key))]
-        for offset in (1, width - 1, width, width + 1):
-            neighbour = np.searchsorted(cell_key, cell_key + offset)
-            found = neighbour < len(cell_key)
-            found[found] = cell_key[neighbour[found]] == cell_key[found] + offset
-            blocks_a.append(np.flatnonzero(found))
-            blocks_b.append(neighbour[found])
-        cell_a, cell_b = np.concatenate(blocks_a), np.concatenate(blocks_b)
-        block_size = size[cell_a] * size[cell_b]
-        total = int(block_size.sum())
+        lengths = np.searchsorted(key, np.concatenate((key + 2, key + width + 2))) - starts
+        total = int(lengths.sum())
         if total > _MAX_CANDIDATE_PAIRS:
             cfg = self.config
             raise ValueError(
@@ -553,16 +552,10 @@ class World:
                 f"max_radio_range={cfg.radio.max_radio_range}; lower the density "
                 "or the radio range"
             )
-        block = np.repeat(np.arange(len(block_size)), block_size)
-        offset = np.arange(total) - np.repeat(np.cumsum(block_size) - block_size, block_size)
-        row_length = size[cell_b][block]
-        slot_a = start[cell_a][block] + offset // row_length
-        slot_b = start[cell_b][block] + offset % row_length
-        # a cell's slots precede those of the cells ahead of it, so this
-        # keeps each pair once and drops the self-pairs of a cell with itself
-        keep = slot_a < slot_b
-        a, b = by_cell[slot_a[keep]], by_cell[slot_b[keep]]
-        return np.minimum(a, b), np.maximum(a, b)
+        # candidate i lies in run r: it pairs r's agent with the slot
+        # starts[r] + i - (the total length of the runs before r)
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        return np.repeat(np.tile(by_cell, 2), lengths), by_cell[shift + np.arange(total)]
 
     def _sense(self, contacts: _Contacts) -> None:
         """Sample the RSSI both ways across every pair of app users and

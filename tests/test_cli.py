@@ -217,6 +217,25 @@ class TestWorldCommand:
         report = (out / "false_alert_report.txt").read_text()
         assert "red_notifications_false_alert_rate" in report
 
+    def test_seed_is_read_as_its_low_64_bits(self, tmp_path):
+        config = tmp_path / "world.cfg"
+        config.write_text(
+            "agent_count=24\nbox_size=18\ninfection_prob_per_second=0.03\n"
+            "incubation_seconds=600\nhorizon_seconds=1500\ninitial_infected=3\n"
+            "noise_sigma=0\ntracking_threshold=2.5\nkey_bits=32\n"
+            "app_user_fraction=0.9\n"
+        )
+        outputs = {}
+        for seed in ("-1", "7", str(2**64 + 7)):
+            out = tmp_path / seed
+            argv = ["world", "--config", str(config), "--seed", seed, "--out", str(out)]
+            assert run_command(argv) == 0
+            outputs[seed] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(outputs["7"]) == 5
+        # the issuer's tokens and the dispatch origin tags depend on the seed
+        assert b"KEY_ISSUE" in outputs["7"]["bus_trace.jsonl"]
+        assert outputs[str(2**64 + 7)] == outputs["7"]
+
     def test_trace_replay_via_config(self, tmp_path):
         trace = tmp_path / "contacts.csv"
         trace.write_text("0,1,0,300,2.0\n")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proximity_sim.authority import UnknownOrigin
@@ -838,6 +838,9 @@ class TestCellList:
         st.floats(min_value=0.1, max_value=80.0),
     )
     @settings(max_examples=200, deadline=None)
+    # at the smallest width (3): a pair in one cell and a pair across each
+    # of the offsets +1, +width - 1, +width and +width + 1, all in range
+    @example([(0.9, 0.9), (0.95, 0.95), (0.95, 1.05), (1.05, 0.95), (1.05, 1.05)], 1.0)
     def test_random_positions(self, positions, radio_range):
         assert_matches_dense(positions, radio_range)
 
@@ -886,9 +889,15 @@ class TestCellList:
         world = small_world(
             None, agent_count=20_000, box_size=5.0, app_user_fraction=0.0,
         )
-        with pytest.raises(ValueError, match="agent_count=20000, box_size=5.0, "
-                           "max_radio_range=10.0"):
+        tracemalloc.start()
+        # one cell: the n(n - 1)/2 pairs the search would test, counted
+        # before any array of candidates is built
+        with pytest.raises(ValueError, match="test 199,990,000 candidate pairs .* "
+                           "agent_count=20000, box_size=5.0, max_radio_range=10.0"):
             world.tick()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 def record_directions(world: World) -> dict:
