@@ -32,27 +32,38 @@ headline parameters its peak is on day 40 and its day-60/peak ratio is
 (infectious days 1..13: 0.068; ramp ending on day 39: 0.092; alert level
 read on the transmission day: 0.023).
 
-Engine: a replicate counts cohorts, not people.  Its state is
-count[s, j, u]: the cases infected on day s whose alert takes effect on
-day s+j (j = incubation_days: never alerted), split by whether they will
-upload at detection (u, used by AT_DETECTION only).  A sum of independent
-Poisson draws over n identical cases is one Poisson draw at n times the
-rate, and thinning a Poisson count by independent coins gives Poisson
-counts, so the recursion is exact.  On day d each source day s in
-d-incubation_days..d-1 draws one Poisson for its offspring, at rate
-r0/incubation_days times (cases not yet alerted + alerted cases / k).
-Binomial splits then place the new cases: under FROM_INFECTION
-Binomial(total, efficiency * level(d)) are alerted at creation; under
-AT_DETECTION each source day's offspring are split by the uploaders'
-share of its rate and then by efficiency, and the app users among the
-uploaders' offspring are alerted on day s+incubation_days.  Only the
-upload of a case's own parent can change its transmission, so each
+Engine: a replicate counts cohorts, not people, and the replicates of an
+ensemble advance together, a day at a time, in blocks of up to 64.  Under
+AT_DETECTION a replicate's state is count[s, j, u]: the cases infected on
+day s whose alert takes effect on day s+j (j = incubation_days: never
+alerted), split by whether they will upload at detection (u), kept for the
+incubation window only.  Under FROM_INFECTION an alert takes effect at
+creation or never, so the state is two counts per infection day: alerted
+at creation, and not.  A sum of independent Poisson draws over n identical
+cases is one Poisson draw at n times the rate, and thinning a Poisson count
+by independent coins gives Poisson counts, so the recursion is exact.  On
+day d each source day s in d-incubation_days..d-1 draws one Poisson for its
+offspring, at rate r0/incubation_days times (cases not yet alerted +
+alerted cases / k).  Binomial splits then place the new cases: under
+FROM_INFECTION Binomial(total, efficiency * level(d)) are alerted at
+creation; under AT_DETECTION each source day's offspring are split by the
+uploaders' share of its rate and then by efficiency, and the app users
+among the uploaders' offspring are alerted on day s+incubation_days.  Only
+the upload of a case's own parent can change its transmission, so each
 cohort's upload coins are drawn when it is created, reading the level of
 its detection day; that has the law of a coin drawn on the detection day.
+The cap, the rates, the offspring credit and the cohort split are one numpy
+expression per day over the block; the draws are one call per replicate.
+A replicate that passes `max_active` stops drawing and keeps its partial
+series, and one with no infectious case left stops too (it has no more
+cases), while the rest run on.
 
-RNG discipline: replicate seed ``seed`` feeds two generators,
+RNG discipline: replicate seed ``seed`` feeds two generators of its own,
 derive_seed(seed, 0) for the transmission Poisson draws and
-derive_seed(seed, 1) for the binomial coins.  The series reads the coin
+derive_seed(seed, 1) for the binomial coins, and each replicate calls them
+in the same order as if it ran alone.  So a series depends on its seed
+only, not on the block it runs in or on the other replicates, and an
+ensemble does not depend on execution order.  The series reads the coin
 stream only when an alert can change a rate: some adoption, k > 1 and an
 activation level above 0 by the horizon.  Otherwise (k=1, efficiency=0,
 activation after the horizon) the engine calls no coin and every
@@ -61,6 +72,10 @@ r0/incubation_days, so the transmission stream sees the same rates and
 the series are bit-identical by construction, under either policy.
 Where alerts do matter, a coin call of probability 0 is skipped: numpy
 draws nothing for it, so the coin stream is the same as if it were made.
+The batched rates are the same floats as one replicate's: each is a sum
+over j that numpy's einsum takes in the same order for a block as for
+one row, and under FROM_INFECTION that sum has one 1/k-weighted term, one
+unit term and exact zeros.
 """
 
 from __future__ import annotations
@@ -206,69 +221,126 @@ def alerts_can_act(params: SimulationParams) -> bool:
             and activation_level(params.horizon_days, params) > 0)
 
 
-def _simulate(params: SimulationParams, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One replicate: (new cases per day, offspring credited to each infection day)."""
-    days, horizon = params.incubation_days, params.horizon_days
-    spread = np.random.Generator(np.random.PCG64(derive_seed(seed, 0)))
-    coins = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
+# replicates advanced together: bounds the generators and cohort state held at once
+_BLOCK = 64
+
+
+def _simulate(params: SimulationParams, seeds: list[int]
+              ) -> tuple[np.ndarray, np.ndarray, dict[int, AbortCapExceeded]]:
+    """One replicate per seed: (new cases per day, offspring credited to
+    each infection day), one row per seed, and the abort of each row that
+    passed the cap.  Blocks of `_BLOCK` rows advance together."""
+    series = np.zeros((len(seeds), params.horizon_days + 1), np.int64)
+    offspring = np.zeros_like(series)
+    aborts: dict[int, AbortCapExceeded] = {}
+    for start in range(0, len(seeds), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        aborted = _advance(params, seeds[block], series[block], offspring[block])
+        aborts.update((start + r, abort) for r, abort in aborted.items())
+    return series, offspring, aborts
+
+
+def _advance(params: SimulationParams, seeds: list[int], series: np.ndarray,
+             offspring: np.ndarray) -> dict[int, AbortCapExceeded]:
+    """Advance one replicate per seed a day at a time, all together, into
+    the zeroed rows of `series` and `offspring`; return the abort of each
+    row that passed the cap."""
+    days, horizon, rows = params.incubation_days, params.horizon_days, len(seeds)
+    spreads = [np.random.Generator(np.random.PCG64(derive_seed(seed, 0))) for seed in seeds]
+    coins = [np.random.Generator(np.random.PCG64(derive_seed(seed, 1))) for seed in seeds]
     at_detection = params.alert_policy is AlertPolicy.AT_DETECTION
     alerts_matter = alerts_can_act(params)
     never = days  # alert offset of cases that are never alerted
-    # weight[a, j]: relative rate, a days after infection, of a case whose
-    # alert takes effect j days after infection
-    a, j = np.ogrid[: days + 1, : days + 1]
-    weight = np.where((j <= a) & (j < never), 1.0 / params.quarantine_factor, 1.0)
-    count = np.zeros((horizon + 1, days + 1, 2), np.int64)  # [infection day, j, uploads]
-    series = np.zeros(horizon + 1, np.int64)
-    offspring = np.zeros(horizon + 1, np.int64)
+    if alerts_matter and at_detection:
+        # weight[a, j]: relative rate, a days after infection, of a case whose
+        # alert takes effect j days after infection (a = days + 1 only in the
+        # ring slot about to be refilled, whose rates are never read)
+        a, j = np.ogrid[: days + 2, : days + 1]
+        weight = np.where((j <= a) & (j < never), 1.0 / params.quarantine_factor, 1.0)
+        # count[r, s % (days + 1), j, u]: row r's cases infected on day s whose
+        # alert takes effect on day s+j, split by whether they will upload;
+        # a ring over the days still infectious
+        count = np.zeros((rows, days + 1, days + 1, 2), np.int64)
+    elif alerts_matter:
+        alerted = np.zeros((rows, horizon + 1), np.int64)  # at creation; the rest never
+    live = list(range(rows))  # rows still drawing
+    aborts: dict[int, AbortCapExceeded] = {}
 
     # numpy's binomial draws nothing at probability 0, so each coin call
     # below is skipped where its probability is 0 and leaves the coin
     # stream as drawing it would
-    def create(day: int, total: int, alerted_by_source: np.ndarray) -> None:
-        series[day] = total
+    def create(day: int, alerted_by_source: np.ndarray) -> None:
         if not alerts_matter:
             return
-        cohort = np.zeros(days + 1, np.int64)
+        totals = series[:, day]
         if at_detection:
             # children of source day s are alerted on s's detection day s+days
-            cohort[days - len(alerted_by_source) : days] = alerted_by_source
+            cohort = np.zeros((rows, days + 1), np.int64)
+            cohort[:, days - alerted_by_source.shape[1] : days] = alerted_by_source
+            cohort[:, never] = totals - cohort.sum(axis=1)
+            uploads = np.zeros_like(cohort)
+            upload_prob = activation_level(day + days, params)
+            if upload_prob > 0:
+                for r in live:
+                    uploads[r] = coins[r].binomial(cohort[r], upload_prob)
+            count[:, day % (days + 1)] = np.stack((cohort - uploads, uploads), axis=2)
         else:
             alert_prob = params.efficiency * activation_level(day, params)
             if alert_prob > 0:
-                cohort[0] = coins.binomial(total, alert_prob)
-        cohort[never] = total - cohort.sum()
-        upload_prob = activation_level(day + days, params) if at_detection else 0.0
-        if upload_prob > 0:
-            count[day, :, 1] = coins.binomial(cohort, upload_prob)
-        count[day, :, 0] = cohort - count[day, :, 1]
+                for r in live:
+                    alerted[r, day] = coins[r].binomial(int(totals[r]), alert_prob)
 
-    create(0, params.initial_infected, np.zeros(0, np.int64))
+    series[:, 0] = params.initial_infected
+    create(0, np.zeros((rows, 0), np.int64))
     for day in range(1, horizon + 1):
         lo = max(0, day - days)
-        active = int(series[lo:day].sum())
-        if active > params.max_active:
-            raise AbortCapExceeded(day, active, series[:day].copy())
-        if alerts_matter:
-            # weighted cases per source day and upload flag
-            weighted = np.einsum("sj,sju->su", weight[day - lo : 0 : -1], count[lo:day])
-            rates = weighted.sum(axis=1)
+        active = series[:, lo:day].sum(axis=1).tolist()
+        for r in live:
+            if active[r] > params.max_active:
+                aborts[r] = AbortCapExceeded(day, active[r], series[r, :day].copy())
+        # an aborted row keeps its partial series; a row with no infectious
+        # case has no more cases and its draws would all be of nothing
+        live = [r for r in live if 0 < active[r] <= params.max_active]
+        if not live:
+            break
+        if not alerts_matter:
+            rates = series[:, lo:day]  # the einsum's totals when no case is alerted
+        elif at_detection:
+            # weighted cases per ring slot and upload flag, read in day order
+            ages = (day - 1 - np.arange(days + 1)) % (days + 1) + 1
+            weighted = np.einsum("qj,rqju->rqu", weight[ages], count)
+            weighted = weighted[:, np.arange(lo, day) % (days + 1)]
+            rates = weighted.sum(axis=2)
         else:
-            rates = series[lo:day]  # the einsum's totals when no case is alerted
-        born = spread.poisson(params.r0 / days * rates)
-        offspring[lo:day] += born
-        alerted = np.zeros(0, np.int64)
-        if alerts_matter and at_detection and weighted[:, 1].any():
-            share = np.divide(weighted[:, 1], rates, out=np.zeros_like(rates), where=rates > 0)
-            alerted = coins.binomial(coins.binomial(born, share), params.efficiency)
-        create(day, int(born.sum()), alerted)
-    return series, offspring
+            # the einsum over the (j, u) tensor would sum one 1/k-weighted
+            # term, one unit term and exact zeros: the same float as this
+            early = alerted[:, lo:day]
+            rates = early * (1.0 / params.quarantine_factor) + (series[:, lo:day] - early)
+        lam = params.r0 / days * rates
+        born = np.zeros((rows, day - lo), np.int64)
+        for r in live:
+            born[r] = spreads[r].poisson(lam[r])
+        offspring[:, lo:day] += born
+        series[:, day] = born.sum(axis=1)
+        lineage = np.zeros_like(born)
+        if alerts_matter and at_detection:
+            shares = np.divide(weighted[..., 1], rates, out=np.zeros_like(rates), where=rates > 0)
+            uploading = weighted[..., 1].any(axis=1)
+            for r in live:
+                if uploading[r]:
+                    lineage[r] = coins[r].binomial(coins[r].binomial(born[r], shares[r]),
+                                                   params.efficiency)
+        create(day, lineage)
+    return aborts
 
 
 def run_replicate(params: SimulationParams, seed: int) -> np.ndarray:
     """One replicate's new infections per day, day 0 through the horizon
     (int64); bit-identical for identical inputs."""
-    return _simulate(params, seed)[0]
+    series, _, aborts = _simulate(params, [seed])
+    if aborts:
+        raise aborts[0]
+    return series[0]
 
 
 def run_ensemble(params: SimulationParams, base_seed: int) -> EnsembleSeries:
@@ -280,18 +352,10 @@ def run_ensemble(params: SimulationParams, base_seed: int) -> EnsembleSeries:
     shortest, and the capped replicates are listed in
     `aborted_replicates`; nothing is dropped silently.
     """
-    rows: list[np.ndarray] = []
-    aborted: list[int] = []
-    for r in range(params.replicates):
-        seed = derive_seed(base_seed, r)
-        try:
-            rows.append(run_replicate(params, seed))
-        except AbortCapExceeded as abort:
-            rows.append(abort.series)
-            aborted.append(r)
-    length = min(len(row) for row in rows)
-    stack = np.stack([row[:length] for row in rows])
-    return EnsembleSeries(daily=stack, aborted_replicates=aborted)
+    series, _, aborts = _simulate(
+        params, [derive_seed(base_seed, r) for r in range(params.replicates)])
+    length = min((abort.day for abort in aborts.values()), default=params.horizon_days + 1)
+    return EnsembleSeries(daily=series[:, :length], aborted_replicates=sorted(aborts))
 
 
 def expected_daily_incidence(params: SimulationParams) -> np.ndarray:
@@ -375,12 +439,12 @@ def mean_completed_offspring(
     """
     born = np.arange(params.horizon_days + 1)
     cohorts = (born > after_day) & (born <= params.horizon_days - params.incubation_days)
-    total = 0
-    count = 0
-    for r in range(replicates):
-        series, offspring = _simulate(params, derive_seed(base_seed, r))
-        total += int(offspring[cohorts].sum())
-        count += int(series[cohorts].sum())
+    series, offspring, aborts = _simulate(
+        params, [derive_seed(base_seed, r) for r in range(replicates)])
+    if aborts:
+        raise aborts[min(aborts)]
+    total = int(offspring[:, cohorts].sum())
+    count = int(series[:, cohorts].sum())
     if count == 0:
         raise ValueError("cohort window is empty at these parameters")
     return total / count, count

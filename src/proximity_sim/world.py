@@ -273,10 +273,16 @@ class Agent:
 # the lower agent index, the higher one and the true distance of each pair
 _Contacts = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-# more candidate pairs than this in one tick (the pairs the contact search
-# would test, counted from its slot runs before any per-pair array exists)
-# is a crowd it would take minutes and gigabytes over: fail clearly instead
-_MAX_CANDIDATE_PAIRS = 50_000_000
+# The contact search may hold 1 GiB in one tick.  At its peak it holds 89
+# bytes per candidate pair (tracemalloc over a tick of 1,000 agents in one
+# cell, every pair in range: the np.take rows, their difference, the
+# distances and the range test), so the limit allows 96: 11,184,810 pairs,
+# about 4,700 agents in one cell.  More candidates than that (the pairs the
+# search would test, counted from its slot runs before any per-pair array
+# exists) is a crowd it cannot hold: fail clearly instead
+_CONTACT_SEARCH_BUDGET_BYTES = 1 << 30
+_BYTES_PER_CANDIDATE = 96
+_MAX_CANDIDATE_PAIRS = _CONTACT_SEARCH_BUDGET_BYTES // _BYTES_PER_CANDIDATE
 
 
 def _adjacency_ranks(cells: np.ndarray) -> np.ndarray:

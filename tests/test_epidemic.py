@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -51,7 +52,7 @@ def reference_simulate(params: SimulationParams, seed: int) -> tuple[np.ndarray,
     """The cohort engine as it was before it skipped draws that cannot
     reach the series: every replicate fills the count tensor, runs the
     einsum and calls every coin, probability 0 or not.  Kept as the
-    oracle that `_simulate` must match bit for bit."""
+    oracle that every row of a `_simulate` batch must match bit for bit."""
     days, horizon = params.incubation_days, params.horizon_days
     spread = np.random.Generator(np.random.PCG64(derive_seed(seed, 0)))
     coins = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
@@ -93,47 +94,128 @@ def reference_simulate(params: SimulationParams, seed: int) -> tuple[np.ndarray,
     return series, offspring
 
 
+def reference_rows(params: SimulationParams, seeds: list[int]) -> list:
+    """`reference_simulate` replicate by replicate: (series, offspring) for a
+    replicate that finishes, its AbortCapExceeded for one that aborts."""
+    rows = []
+    for seed in seeds:
+        try:
+            rows.append(reference_simulate(params, seed))
+        except AbortCapExceeded as abort:
+            rows.append(abort)
+    return rows
+
+
+def assert_batch_matches_reference(params: SimulationParams, seeds: list[int]) -> dict:
+    """Run `seeds` as one batch and check every row against the reference:
+    a finished row bit for bit, an aborted row by its abort day, active
+    count and partial series.  Returns the batch's aborts."""
+    series, offspring, aborts = _simulate(params, seeds)
+    assert series.shape == offspring.shape == (len(seeds), params.horizon_days + 1)
+    expected = reference_rows(params, seeds)
+    assert sorted(aborts) == [r for r, row in enumerate(expected)
+                              if isinstance(row, AbortCapExceeded)]
+    for r, row in enumerate(expected):
+        if isinstance(row, AbortCapExceeded):
+            assert (aborts[r].day, aborts[r].active) == (row.day, row.active)
+            assert np.array_equal(aborts[r].series, row.series)
+            assert np.array_equal(series[r, : row.day], row.series)
+        else:
+            assert np.array_equal(series[r], row[0])
+            assert np.array_equal(offspring[r], row[1])
+    return aborts
+
+
 class TestReferenceEngine:
-    """`_simulate` skips the coins, the count tensor and the einsum where
-    no alert can change a rate, and each zero-probability coin call; the
-    series and offspring must not move by a bit."""
+    """`_simulate` advances a batch of replicates together and skips the
+    coins, the count tensor and the einsum where no alert can change a
+    rate, and each zero-probability coin call; every row must match the
+    reference run alone, bit for bit."""
 
     @pytest.mark.parametrize("policy", list(AlertPolicy))
     @pytest.mark.parametrize("efficiency", [0.0, 0.6, 1.0])
     @pytest.mark.parametrize("k", [1.0, 2.0, 10.0])
-    def test_series_and_offspring_match(self, policy, efficiency, k):
+    def test_batch_matches_reference_row_by_row(self, policy, efficiency, k):
         # activation at day 0, mid-run, on the horizon and after it
-        for activation_day, ramp_days, seed in itertools.product(
-                (0, 30, 40, 45), (0, 10), (3, 77)):
+        for activation_day, ramp_days in itertools.product((0, 30, 40, 45), (0, 10)):
             params = SimulationParams(
                 incubation_days=10, horizon_days=40, initial_infected=5, max_active=10**9,
                 quarantine_factor=k, efficiency=efficiency, activation_day=activation_day,
                 ramp_days=ramp_days, alert_policy=policy)
-            expected = reference_simulate(params, seed)
-            actual = _simulate(params, seed)
-            assert np.array_equal(actual[0], expected[0])
-            assert np.array_equal(actual[1], expected[1])
+            assert not assert_batch_matches_reference(params, [3, 77, 5])
+
+    @pytest.mark.parametrize("policy, cap", [(AlertPolicy.FROM_INFECTION, 8_000),
+                                             (AlertPolicy.AT_DETECTION, 10_000)])
+    def test_rows_abort_on_their_own_days_while_the_rest_finish(self, policy, cap):
+        params = SimulationParams(horizon_days=45, max_active=cap, efficiency=0.6,
+                                  initial_infected=3, replicates=8, alert_policy=policy)
+        seeds = [derive_seed(8, r) for r in range(params.replicates)]
+        aborts = assert_batch_matches_reference(params, seeds)
+        days = sorted(abort.day for abort in aborts.values())
+        assert len(set(days)) >= 2 and len(aborts) < params.replicates  # not vacuous
+        ensemble = run_ensemble(params, 8)
+        assert ensemble.aborted_replicates == sorted(aborts)
+        expected = reference_rows(params, seeds)
+        for r, row in enumerate(expected):
+            partial = row.series if isinstance(row, AbortCapExceeded) else row[0]
+            assert np.array_equal(ensemble.daily[r], partial[: days[0]])
 
     @pytest.mark.parametrize("policy", list(AlertPolicy))
     @pytest.mark.parametrize("efficiency, k", [(0.0, 10.0), (0.6, 1.0), (0.6, 10.0)])
-    def test_abort_day_and_partial_series_match(self, policy, efficiency, k):
-        params = SimulationParams(horizon_days=50, max_active=2_000, efficiency=efficiency,
+    def test_batch_of_one(self, policy, efficiency, k):
+        params = SimulationParams(horizon_days=50, efficiency=efficiency,
                                   quarantine_factor=k, alert_policy=policy)
+        assert not assert_batch_matches_reference(params, [11])
+        assert np.array_equal(run_replicate(params, 11), reference_simulate(params, 11)[0])
+        capped = replace(params, max_active=2_000)
+        assert assert_batch_matches_reference(capped, [11])
         with pytest.raises(AbortCapExceeded) as expected:
-            reference_simulate(params, 11)
+            reference_simulate(capped, 11)
         with pytest.raises(AbortCapExceeded) as actual:
-            _simulate(params, 11)
+            run_replicate(capped, 11)
         assert (actual.value.day, actual.value.active) == (expected.value.day,
                                                             expected.value.active)
         assert np.array_equal(actual.value.series, expected.value.series)
 
     @pytest.mark.parametrize("policy", list(AlertPolicy))
-    def test_mean_completed_offspring_matches(self, policy, monkeypatch):
+    def test_rows_that_die_out_stop_drawing(self, policy):
+        params = SimulationParams(r0=1.5, initial_infected=2, horizon_days=40, efficiency=0.3,
+                                  activation_day=0, ramp_days=0, alert_policy=policy)
+        seeds = list(range(12))
+        assert_batch_matches_reference(params, seeds)
+        series, _, _ = _simulate(params, seeds)
+        window = series[:, -params.incubation_days:].sum(axis=1)
+        assert 0 < (window == 0).sum() < len(seeds)  # some rows die out, some do not
+
+    @pytest.mark.parametrize("policy", list(AlertPolicy))
+    def test_mean_completed_offspring_matches(self, policy):
         params = SimulationParams(horizon_days=45, efficiency=0.6, alert_policy=policy)
-        actual = mean_completed_offspring(params, base_seed=5, replicates=3, after_day=20)
-        monkeypatch.setattr(epidemic, "_simulate", reference_simulate)
+        born = np.arange(params.horizon_days + 1)
+        cohorts = (born > 20) & (born <= params.horizon_days - params.incubation_days)
+        rows = reference_rows(params, [derive_seed(5, r) for r in range(3)])
+        offspring = sum(int(row[1][cohorts].sum()) for row in rows)
+        cases = sum(int(row[0][cohorts].sum()) for row in rows)
         assert mean_completed_offspring(params, base_seed=5, replicates=3,
-                                        after_day=20) == actual
+                                        after_day=20) == (offspring / cases, cases)
+
+
+def test_at_detection_state_beyond_the_rows_is_bounded_by_the_incubation_window():
+    # the (j, u) counts are a ring over the incubation window and blocks of
+    # replicates advance in turn, so past the series and offspring rows the
+    # engine holds O(incubation_days**2) per replicate of a block.  Every
+    # array is allocated when its block starts, so the peak does not depend
+    # on how long the outbreak lasts (the same to the byte at r0=0 and for
+    # an outbreak alive on day 365); a subcritical r0 keeps the traced run
+    # short, since tracemalloc slows each numpy call several times over
+    params = SimulationParams(r0=0.5, activation_day=0, ramp_days=0, horizon_days=365,
+                              replicates=200, alert_policy=AlertPolicy.AT_DETECTION)
+    run_ensemble(replace(params, horizon_days=20, replicates=2), 1)  # first-call allocations
+    tracemalloc.start()
+    ensemble = run_ensemble(params, 3)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert ensemble.daily.shape == (200, 366) and ensemble.daily[:, 15:].any()
+    assert peak < 4 * ensemble.daily.nbytes
 
 
 class TestActivationLevel:
@@ -257,9 +339,10 @@ class TestReplicates:
     def test_conservation(self):
         # every case after day 0 is credited as offspring to one infection day
         for policy in AlertPolicy:
-            series, offspring = _simulate(
-                SimulationParams(horizon_days=30, efficiency=0.5, alert_policy=policy), 13)
-            assert offspring.sum() == series[1:].sum() > 0
+            series, offspring, _ = _simulate(
+                SimulationParams(horizon_days=30, efficiency=0.5, alert_policy=policy), [13, 14])
+            assert np.array_equal(offspring.sum(axis=1), series[:, 1:].sum(axis=1))
+            assert (offspring.sum(axis=1) > 0).all()
 
     def test_abort_cap(self):
         params = SimulationParams(max_active=50, horizon_days=60)

@@ -31,8 +31,11 @@ from proximity_sim.world import (
     RadioModel,
     World,
     WorldConfig,
+    _BYTES_PER_CANDIDATE,
+    _CONTACT_SEARCH_BUDGET_BYTES,
     _DETECTED,
     _INFECTED,
+    _MAX_CANDIDATE_PAIRS,
     _SUSCEPTIBLE,
     estimate_distance,
     false_alert_rate,
@@ -898,6 +901,19 @@ class TestCellList:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < 8_000_000
+
+    def test_candidate_limit_fits_the_memory_budget(self):
+        # every candidate pair of one cell is in range, the search's worst
+        # case per candidate; with no app users the tick's peak is the search
+        agents = 1_000
+        world = small_world(None, agent_count=agents, box_size=5.0, app_user_fraction=0.0)
+        tracemalloc.start()
+        world.tick()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        per_candidate = peak / (agents * (agents - 1) // 2)
+        assert per_candidate <= _BYTES_PER_CANDIDATE
+        assert per_candidate * _MAX_CANDIDATE_PAIRS <= _CONTACT_SEARCH_BUDGET_BYTES
 
 
 def record_directions(world: World) -> dict:
