@@ -24,6 +24,7 @@ from .report import emit_csv, emit_svg
 from .world import (
     EVENT_FIELDS,
     EmptyLog,
+    OverBudget,
     World,
     false_alert_rate,
     json_line_writer,
@@ -258,7 +259,7 @@ def run_command(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, OverBudget) as exc:  # a world too crowded to run
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 

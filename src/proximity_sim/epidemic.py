@@ -33,12 +33,14 @@ headline parameters its peak is on day 40 and its day-60/peak ratio is
 read on the transmission day: 0.023).
 
 Engine: a replicate counts cohorts, not people, and the replicates of an
-ensemble advance together, a day at a time, in blocks of up to 64.  Under
-AT_DETECTION a replicate's state is count[s, j, u]: the cases infected on
-day s whose alert takes effect on day s+j (j = incubation_days: never
-alerted), split by whether they will upload at detection (u), kept for the
-incubation window only.  Under FROM_INFECTION an alert takes effect at
-creation or never, so the state is two counts per infection day: alerted
+ensemble advance together, a day at a time, in blocks of up to 64.  A set
+whose alerts cannot act runs as its `without_app` twin, so there is one
+path per policy.  Under AT_DETECTION a replicate's state is count[i, j, u]:
+the cases of age incubation_days+1-i whose alert takes effect j days after
+infection (j = incubation_days: never alerted), split by whether they will
+upload at detection (u); each day the window slides up one slot and the
+newest cohort fills the last.  Under FROM_INFECTION an alert takes effect
+at creation or never, so the state is two counts per infection day: alerted
 at creation, and not.  A sum of independent Poisson draws over n identical
 cases is one Poisson draw at n times the rate, and thinning a Poisson count
 by independent coins gives Poisson counts, so the recursion is exact.  On
@@ -63,15 +65,15 @@ derive_seed(seed, 0) for the transmission Poisson draws and
 derive_seed(seed, 1) for the binomial coins, and each replicate calls them
 in the same order as if it ran alone.  So a series depends on its seed
 only, not on the block it runs in or on the other replicates, and an
-ensemble does not depend on execution order.  The series reads the coin
-stream only when an alert can change a rate: some adoption, k > 1 and an
-activation level above 0 by the horizon.  Otherwise (k=1, efficiency=0,
-activation after the horizon) the engine calls no coin and every
-transmission rate is the same whole number of cases times
-r0/incubation_days, so the transmission stream sees the same rates and
-the series are bit-identical by construction, under either policy.
-Where alerts do matter, a coin call of probability 0 is skipped: numpy
-draws nothing for it, so the coin stream is the same as if it were made.
+ensemble does not depend on execution order.  A coin call of probability
+0 is skipped: numpy draws nothing for it, so the coin stream is the same
+as if it were made.  The series reads the coin stream only when an alert
+can change a rate: some adoption, k > 1 and an activation level above 0
+by the horizon.  Otherwise (k=1, efficiency=0, activation after the
+horizon) the set runs as its `without_app` twin under FROM_INFECTION,
+where every coin has probability 0 and every transmission rate is the
+same whole number of cases times r0/incubation_days, so the series are
+bit-identical by construction, under either policy.
 The batched rates are the same floats as one replicate's: each is a sum
 over j that numpy's einsum takes in the same order for a block as for
 one row, and under FROM_INFECTION that sum has one 1/k-weighted term, one
@@ -229,7 +231,10 @@ def _simulate(params: SimulationParams, seeds: list[int]
               ) -> tuple[np.ndarray, np.ndarray, dict[int, AbortCapExceeded]]:
     """One replicate per seed: (new cases per day, offspring credited to
     each infection day), one row per seed, and the abort of each row that
-    passed the cap.  Blocks of `_BLOCK` rows advance together."""
+    passed the cap.  Blocks of `_BLOCK` rows advance together.  A set whose
+    alerts cannot act runs as its `without_app` twin."""
+    if not alerts_can_act(params):
+        params = params.without_app()
     series = np.zeros((len(seeds), params.horizon_days + 1), np.int64)
     offspring = np.zeros_like(series)
     aborts: dict[int, AbortCapExceeded] = {}
@@ -249,19 +254,16 @@ def _advance(params: SimulationParams, seeds: list[int], series: np.ndarray,
     spreads = [np.random.Generator(np.random.PCG64(derive_seed(seed, 0))) for seed in seeds]
     coins = [np.random.Generator(np.random.PCG64(derive_seed(seed, 1))) for seed in seeds]
     at_detection = params.alert_policy is AlertPolicy.AT_DETECTION
-    alerts_matter = alerts_can_act(params)
     never = days  # alert offset of cases that are never alerted
-    if alerts_matter and at_detection:
-        # weight[a, j]: relative rate, a days after infection, of a case whose
-        # alert takes effect j days after infection (a = days + 1 only in the
-        # ring slot about to be refilled, whose rates are never read)
-        a, j = np.ogrid[: days + 2, : days + 1]
-        weight = np.where((j <= a) & (j < never), 1.0 / params.quarantine_factor, 1.0)
-        # count[r, s % (days + 1), j, u]: row r's cases infected on day s whose
-        # alert takes effect on day s+j, split by whether they will upload;
-        # a ring over the days still infectious
+    if at_detection:
+        # count[r, i, j, u]: row r's cases of age days+1-i whose alert takes
+        # effect j days after infection, split by whether they will upload;
+        # the window slides one slot a day, and slot 0 (age days+1, past its
+        # window) is never read.  weight[i, j]: slot i's relative rate
         count = np.zeros((rows, days + 1, days + 1, 2), np.int64)
-    elif alerts_matter:
+        a, j = np.arange(days + 1, 0, -1)[:, None], np.arange(days + 1)
+        weight = np.where((j <= a) & (j < never), 1.0 / params.quarantine_factor, 1.0)
+    else:
         alerted = np.zeros((rows, horizon + 1), np.int64)  # at creation; the rest never
     live = list(range(rows))  # rows still drawing
     aborts: dict[int, AbortCapExceeded] = {}
@@ -270,8 +272,6 @@ def _advance(params: SimulationParams, seeds: list[int], series: np.ndarray,
     # below is skipped where its probability is 0 and leaves the coin
     # stream as drawing it would
     def create(day: int, alerted_by_source: np.ndarray) -> None:
-        if not alerts_matter:
-            return
         totals = series[:, day]
         if at_detection:
             # children of source day s are alerted on s's detection day s+days
@@ -283,7 +283,8 @@ def _advance(params: SimulationParams, seeds: list[int], series: np.ndarray,
             if upload_prob > 0:
                 for r in live:
                     uploads[r] = coins[r].binomial(cohort[r], upload_prob)
-            count[:, day % (days + 1)] = np.stack((cohort - uploads, uploads), axis=2)
+            count[:, :-1] = count[:, 1:]
+            count[:, -1] = np.stack((cohort - uploads, uploads), axis=2)
         else:
             alert_prob = params.efficiency * activation_level(day, params)
             if alert_prob > 0:
@@ -303,13 +304,10 @@ def _advance(params: SimulationParams, seeds: list[int], series: np.ndarray,
         live = [r for r in live if 0 < active[r] <= params.max_active]
         if not live:
             break
-        if not alerts_matter:
-            rates = series[:, lo:day]  # the einsum's totals when no case is alerted
-        elif at_detection:
-            # weighted cases per ring slot and upload flag, read in day order
-            ages = (day - 1 - np.arange(days + 1)) % (days + 1) + 1
-            weighted = np.einsum("qj,rqju->rqu", weight[ages], count)
-            weighted = weighted[:, np.arange(lo, day) % (days + 1)]
+        if at_detection:
+            # weighted cases per slot and upload flag; the last day - lo
+            # slots hold source days lo..day-1 in day order
+            weighted = np.einsum("qj,rqju->rqu", weight, count)[:, lo - day :]
             rates = weighted.sum(axis=2)
         else:
             # the einsum over the (j, u) tensor would sum one 1/k-weighted
@@ -323,7 +321,7 @@ def _advance(params: SimulationParams, seeds: list[int], series: np.ndarray,
         offspring[:, lo:day] += born
         series[:, day] = born.sum(axis=1)
         lineage = np.zeros_like(born)
-        if alerts_matter and at_detection:
+        if at_detection:
             shares = np.divide(weighted[..., 1], rates, out=np.zeros_like(rates), where=rates > 0)
             uploading = weighted[..., 1].any(axis=1)
             for r in live:

@@ -42,6 +42,7 @@ from .messages import AlertLevel, AlertMessage, ScoredContact
 __all__ = [
     "NonpositiveDistance",
     "EmptyLog",
+    "OverBudget",
     "RadioModel",
     "WorldConfig",
     "Agent",
@@ -65,6 +66,10 @@ class NonpositiveDistance(Exception):
 
 class EmptyLog(Exception):
     """No red notifications to compute a false-alert rate from."""
+
+
+class OverBudget(ValueError):
+    """A tick would hold more memory than the world's budget allows."""
 
 
 @dataclass(frozen=True)
@@ -273,16 +278,22 @@ class Agent:
 # the lower agent index, the higher one and the true distance of each pair
 _Contacts = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-# The contact search may hold 1 GiB in one tick.  At its peak it holds 89
-# bytes per candidate pair (tracemalloc over a tick of 1,000 agents in one
-# cell, every pair in range: the np.take rows, their difference, the
-# distances and the range test), so the limit allows 96: 11,184,810 pairs,
-# about 4,700 agents in one cell.  More candidates than that (the pairs the
-# search would test, counted from its slot runs before any per-pair array
-# exists) is a crowd it cannot hold: fail clearly instead
-_CONTACT_SEARCH_BUDGET_BYTES = 1 << 30
+# A tick may hold 1 GiB.  A crowd that would need more is refused with
+# `OverBudget`, counted before anything sized by it exists.  The contact
+# search holds at its peak 89 bytes per candidate pair (tracemalloc over a
+# tick of 1,000 agents in one cell, every pair in range: the np.take rows,
+# their difference, the distances and the range test), so the limit allows
+# 96: 11,184,810 pairs, about 4,700 agents in one cell.  Sensing holds, per
+# pair of app users in radio range, the arrays of both directions and, for
+# each direction it records, the ledger entry, the open contact and their
+# keys: a whole tick of app users in one cell, every pair recorded, peaked
+# at 1,020-1,200 bytes per pair (tracemalloc, 120-800 agents), so the limit
+# allows 1,536: 699,050 pairs, about 1,180 app users in one cell
+_TICK_BUDGET_BYTES = 1 << 30
 _BYTES_PER_CANDIDATE = 96
-_MAX_CANDIDATE_PAIRS = _CONTACT_SEARCH_BUDGET_BYTES // _BYTES_PER_CANDIDATE
+_MAX_CANDIDATE_PAIRS = _TICK_BUDGET_BYTES // _BYTES_PER_CANDIDATE
+_BYTES_PER_SENSED_PAIR = 1_536
+_MAX_SENSED_PAIRS = _TICK_BUDGET_BYTES // _BYTES_PER_SENSED_PAIR
 
 
 def _adjacency_ranks(cells: np.ndarray) -> np.ndarray:
@@ -551,7 +562,7 @@ class World:
         total = int(lengths.sum())
         if total > _MAX_CANDIDATE_PAIRS:
             cfg = self.config
-            raise ValueError(
+            raise OverBudget(
                 f"contact search would test {total:,} candidate pairs in one tick, "
                 f"above the limit of {_MAX_CANDIDATE_PAIRS:,}: "
                 f"agent_count={cfg.agent_count}, box_size={cfg.box_size}, "
@@ -587,6 +598,16 @@ class World:
         dt = cfg.tick_seconds
         first, second, dist = contacts
         users = self._has_app[first] & self._has_app[second]
+        pairs = int(np.count_nonzero(users))
+        if pairs > _MAX_SENSED_PAIRS:
+            raise OverBudget(
+                f"sensing would sample {pairs:,} pairs of app users in one tick, "
+                f"above the limit of {_MAX_SENSED_PAIRS:,}: "
+                f"agent_count={cfg.agent_count}, box_size={cfg.box_size}, "
+                f"app_user_fraction={cfg.app_user_fraction}, "
+                f"max_radio_range={radio.max_radio_range}; lower the density, "
+                "the app adoption or the radio range"
+            )
         first, second, dist = first[users], second[users], dist[users]
         recorders = np.column_stack([first, second]).ravel()
         peers = np.column_stack([second, first]).ravel()

@@ -19,6 +19,18 @@ def read(path) -> bytes:
     return path.read_bytes()
 
 
+def run_world_process(config: Path, out: Path) -> subprocess.CompletedProcess:
+    """`proximity-sim world` in a fresh interpreter, as a user's shell runs it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "proximity_sim.cli", "world", "--config", str(config),
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestReport:
     def test_csv_shape(self, tmp_path):
         days = np.arange(61, dtype=float)
@@ -277,18 +289,27 @@ class TestWorldCommand:
         trace.write_text(line + "\n")
         config = tmp_path / "world.cfg"
         config.write_text(f"agent_count=2\ninitial_infected=1\nkey_bits=32\ntrace_file={trace}\n")
-        src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-m", "proximity_sim.cli", "world", "--config", str(config),
-             "--out", str(tmp_path / "out")],
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-                [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])),
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_world_process(config, tmp_path / "out")
         assert proc.returncode == 1
         assert f"configuration error: {message}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config_text, message",
+        [
+            ("agent_count=20000\napp_user_fraction=0\n", "contact search would test"),
+            ("agent_count=1200\napp_user_fraction=1\n", "sensing would sample"),
+        ],
+    )
+    def test_crowd_beyond_the_budget_is_a_configuration_error(self, tmp_path, config_text,
+                                                               message):
+        config = tmp_path / "world.cfg"
+        config.write_text(config_text + "box_size=5\nkey_bits=32\nhorizon_seconds=10\n")
+        proc = run_world_process(config, tmp_path / "out")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"configuration error: {message}")
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["epidemic", "sweep", "world"])

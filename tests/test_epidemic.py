@@ -200,7 +200,7 @@ class TestReferenceEngine:
 
 
 def test_at_detection_state_beyond_the_rows_is_bounded_by_the_incubation_window():
-    # the (j, u) counts are a ring over the incubation window and blocks of
+    # the (j, u) counts are a window over the incubation days and blocks of
     # replicates advance in turn, so past the series and offspring rows the
     # engine holds O(incubation_days**2) per replicate of a block.  Every
     # array is allocated when its block starts, so the peak does not depend
@@ -335,6 +335,27 @@ class TestReplicates:
         for seed in (1, 7):
             assert np.array_equal(run_replicate(twin, seed),
                                   run_replicate(replace(params, efficiency=0.0), seed))
+
+    @pytest.mark.parametrize("policy", list(AlertPolicy))
+    def test_no_coin_is_drawn_when_no_alert_can_act(self, monkeypatch, policy):
+        calls = []
+
+        class CountingGenerator(np.random.Generator):
+            def binomial(self, *args, **kwargs):
+                calls.append(args)
+                return super().binomial(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+        params = SimulationParams(horizon_days=45, efficiency=0.6, activation_day=20,
+                                  alert_policy=policy)
+        seeds = [3, 77, 5]
+        for silent in (replace(params, quarantine_factor=1.0), replace(params, efficiency=0.0),
+                       replace(params, activation_day=46)):
+            assert not epidemic.alerts_can_act(silent)
+            _simulate(silent, seeds)
+            assert not calls
+        _simulate(params, seeds)
+        assert calls  # the counter sees the engine's coins
 
     def test_conservation(self):
         # every case after day 0 is credited as offspring to one infection day

@@ -28,15 +28,18 @@ from proximity_sim.world import (
     NUMBER_FIELDS,
     EmptyLog,
     NonpositiveDistance,
+    OverBudget,
     RadioModel,
     World,
     WorldConfig,
     _BYTES_PER_CANDIDATE,
-    _CONTACT_SEARCH_BUDGET_BYTES,
+    _BYTES_PER_SENSED_PAIR,
     _DETECTED,
     _INFECTED,
     _MAX_CANDIDATE_PAIRS,
+    _MAX_SENSED_PAIRS,
     _SUSCEPTIBLE,
+    _TICK_BUDGET_BYTES,
     estimate_distance,
     false_alert_rate,
     global_ledger_view,
@@ -895,7 +898,7 @@ class TestCellList:
         tracemalloc.start()
         # one cell: the n(n - 1)/2 pairs the search would test, counted
         # before any array of candidates is built
-        with pytest.raises(ValueError, match="test 199,990,000 candidate pairs .* "
+        with pytest.raises(OverBudget, match="test 199,990,000 candidate pairs .* "
                            "agent_count=20000, box_size=5.0, max_radio_range=10.0"):
             world.tick()
         _, peak = tracemalloc.get_traced_memory()
@@ -913,7 +916,40 @@ class TestCellList:
         tracemalloc.stop()
         per_candidate = peak / (agents * (agents - 1) // 2)
         assert per_candidate <= _BYTES_PER_CANDIDATE
-        assert per_candidate * _MAX_CANDIDATE_PAIRS <= _CONTACT_SEARCH_BUDGET_BYTES
+        assert per_candidate * _MAX_CANDIDATE_PAIRS <= _TICK_BUDGET_BYTES
+
+    def test_crowd_of_app_users_beyond_the_limit_fails_clearly(self):
+        # few enough candidates for the contact search, too many app-user
+        # pairs for sensing: refused before any per-direction array exists
+        agents = 1_200
+        world = small_world(None, agent_count=agents, box_size=5.0)
+        pairs = agents * (agents - 1) // 2
+        assert _MAX_SENSED_PAIRS < pairs <= _MAX_CANDIDATE_PAIRS
+        tracemalloc.start()
+        with pytest.raises(OverBudget, match="sample 719,400 pairs of app users .* "
+                           "agent_count=1200, box_size=5.0, app_user_fraction=1.0, "
+                           "max_radio_range=10.0"):
+            world.tick()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= _BYTES_PER_CANDIDATE * pairs  # the contact search's share only
+        assert not world._open and not world.events
+
+    def test_sensed_pair_limit_fits_the_memory_budget(self):
+        # every pair of app users in one 2 m cell is in range and, noiseless
+        # inside the 3 m threshold, recorded both ways: sensing's worst case
+        # per pair; the peak covers the whole tick
+        agents = 300
+        world = small_world(None, agent_count=agents, box_size=2.0)
+        tracemalloc.start()
+        world.tick()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        pairs = agents * (agents - 1) // 2
+        assert len(world._open) == 2 * pairs
+        per_pair = peak / pairs
+        assert per_pair <= _BYTES_PER_SENSED_PAIR
+        assert per_pair * _MAX_SENSED_PAIRS <= _TICK_BUDGET_BYTES
 
 
 def record_directions(world: World) -> dict:
