@@ -22,6 +22,7 @@ from .epidemic import (
     expected_daily_incidence,
     renewal_growth_factor,
     run_ensemble,
+    run_ensembles,
     run_replicate,
 )
 from .crypto import KeyPair, Envelope, encrypt, decrypt, generate_keypair
@@ -37,6 +38,7 @@ __all__ = [
     "expected_daily_incidence",
     "renewal_growth_factor",
     "run_ensemble",
+    "run_ensembles",
     "run_replicate",
     "KeyPair",
     "Envelope",

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import crypto
 from .config import ParseError, RunConfig, ValidationError, parse_config, parse_sweep_axis
-from .epidemic import EnsembleSeries, SimulationParams, alerts_can_act, run_ensemble
+from .epidemic import SimulationParams, run_ensembles
 from .report import emit_csv, emit_svg
 from .world import (
     EVENT_FIELDS,
@@ -75,19 +75,13 @@ def _make_out_dir(out: Path) -> None:
 
 def _run_columns(args: argparse.Namespace, params: SimulationParams, points: list):
     """Make the output directory, run the seed-coupled no-app baseline and
-    each (label, params) point, once per distinct ensemble (a point where
-    no alert can act shares its no-app twin's); return the ensembles,
-    their means trimmed to the shortest, its last day, and the capped
-    replicates (exit 2 if any)."""
+    each (label, params) point in one `run_ensembles` call; return the
+    ensembles, their means trimmed to the shortest, its last day, and the
+    capped replicates (exit 2 if any)."""
     _make_out_dir(args.out)
     columns = [("baseline", params.without_app()), *points]
-    runs: dict[SimulationParams, EnsembleSeries] = {}
-    ensembles = []
-    for label, point in columns:
-        key = point if alerts_can_act(point) else point.without_app()
-        if key not in runs:
-            runs[key] = run_ensemble(point, args.seed)
-        ensembles.append((label, runs[key]))
+    ensembles = list(zip([label for label, _ in columns],
+                         run_ensembles([point for _, point in columns], args.seed)))
     length = min(len(e.mean) for _, e in ensembles)
     series = [(label, e.mean[:length]) for label, e in ensembles]
     aborted = sorted({r for _, e in ensembles for r in e.aborted_replicates})
@@ -155,8 +149,14 @@ def _run_world(args: argparse.Namespace) -> int:
         world = World(run.world_config, seed=args.seed, trace=trace)
     except (OSError, ValueError) as exc:  # a trace that cannot be read, parsed or held
         raise ValidationError(str(exc)) from exc
+    made = [path for path in (args.out, *args.out.parents) if not path.exists()]
     _make_out_dir(args.out)
-    world.run()
+    try:
+        world.run()
+    except OverBudget:  # a refused world leaves no directory, as other configuration errors
+        for path in made:  # innermost first
+            path.rmdir()
+        raise
     # each line as json.dumps(record, sort_keys=True) writes it, from the
     # event type's fixed fields: events.jsonl holds every event, and
     # bus_trace.jsonl the message events, their "type" given as "message"

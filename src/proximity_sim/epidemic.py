@@ -35,15 +35,19 @@ read on the transmission day: 0.023).
 Engine: a replicate counts cohorts, not people, and the replicates of an
 ensemble advance together, a day at a time, in blocks of up to 64.  A set
 whose alerts cannot act runs as its `without_app` twin, so there is one
-path per policy.  Under AT_DETECTION a replicate's state is count[i, j, u]:
-the cases of age incubation_days+1-i whose alert takes effect j days after
-infection (j = incubation_days: never alerted), split by whether they will
-upload at detection (u); each day the window slides up one slot and the
-newest cohort fills the last.  Under FROM_INFECTION an alert takes effect
-at creation or never, so the state is two counts per infection day: alerted
-at creation, and not.  A sum of independent Poisson draws over n identical
-cases is one Poisson draw at n times the rate, and thinning a Poisson count
-by independent coins gives Poisson counts, so the recursion is exact.  On
+path per policy.  A set is its twin until its fork day, the first day on
+which it could draw an alert coin of nonzero probability, so
+`run_ensembles` runs each twin once and each set whose alerts can act
+from the twin's state on its fork day.  Under AT_DETECTION a replicate's
+state is count[i, j, u]: the cases of age incubation_days-i whose alert
+takes effect j days after infection (j = incubation_days: never alerted),
+split by whether they will upload at detection (u); each day the window
+slides up one slot and the newest cohort fills the last.  Under
+FROM_INFECTION an alert takes effect at creation or never, so the state is
+two counts per infection day: alerted at creation, and not.  A sum of
+independent Poisson draws over n identical cases is one Poisson draw at n
+times the rate, and thinning a Poisson count by independent coins gives
+Poisson counts, so the recursion is exact.  On
 day d each source day s in d-incubation_days..d-1 draws one Poisson for its
 offspring, at rate r0/incubation_days times (cases not yet alerted +
 alerted cases / k).  Binomial splits then place the new cases: under
@@ -73,7 +77,11 @@ by the horizon.  Otherwise (k=1, efficiency=0, activation after the
 horizon) the set runs as its `without_app` twin under FROM_INFECTION,
 where every coin has probability 0 and every transmission rate is the
 same whole number of cases times r0/incubation_days, so the series are
-bit-identical by construction, under either policy.
+bit-identical by construction, under either policy.  The same argument
+holds for a set whose alerts can act on the days before its fork day, so
+it resumes from the twin's series, offspring and transmission generator
+states on that day, with fresh coin generators and every case of the
+window never alerted: its series is the one it would draw alone.
 The batched rates are the same floats as one replicate's: each is a sum
 over j that numpy's einsum takes in the same order for a block as for
 one row, and under FROM_INFECTION that sum has one 1/k-weighted term, one
@@ -100,6 +108,7 @@ __all__ = [
     "alerts_can_act",
     "run_replicate",
     "run_ensemble",
+    "run_ensembles",
     "expected_daily_incidence",
     "renewal_growth_factor",
     "fit_growth_factor",
@@ -227,46 +236,107 @@ def alerts_can_act(params: SimulationParams) -> bool:
 _BLOCK = 64
 
 
+def _runs_as(params: SimulationParams) -> SimulationParams:
+    """The set whose run gives `params`'s series: itself, or its
+    `without_app` twin when its alerts cannot act."""
+    return params if alerts_can_act(params) else params.without_app()
+
+
+def _fork_day(params: SimulationParams) -> int:
+    """The first day on which a set whose alerts can act could draw an alert
+    coin of nonzero probability; until that day it draws what its twin draws."""
+    if params.alert_policy is AlertPolicy.AT_DETECTION:  # the upload coin reads the detection day
+        return next(day for day in range(params.horizon_days + 1)
+                    if activation_level(day + params.incubation_days, params) > 0)
+    return next(day for day in range(params.horizon_days + 1)
+                if params.efficiency * activation_level(day, params) > 0)
+
+
+@dataclass
+class _Fork:
+    """A block of the no-app twin at the start of `day`: the state from which
+    a set that shares the twin resumes on its fork day."""
+
+    day: int
+    series: np.ndarray       # the days before `day`
+    offspring: np.ndarray    # the days before `day`, as credited so far
+    spreads: list[dict]      # each row's transmission generator state
+    live: list[int]
+    aborts: dict[int, AbortCapExceeded]
+
+
 def _simulate(params: SimulationParams, seeds: list[int]
               ) -> tuple[np.ndarray, np.ndarray, dict[int, AbortCapExceeded]]:
     """One replicate per seed: (new cases per day, offspring credited to
     each infection day), one row per seed, and the abort of each row that
-    passed the cap.  Blocks of `_BLOCK` rows advance together.  A set whose
-    alerts cannot act runs as its `without_app` twin."""
-    if not alerts_can_act(params):
-        params = params.without_app()
-    series = np.zeros((len(seeds), params.horizon_days + 1), np.int64)
-    offspring = np.zeros_like(series)
-    aborts: dict[int, AbortCapExceeded] = {}
+    passed the cap.  A set whose alerts cannot act runs as its
+    `without_app` twin."""
+    return _simulate_sets([_runs_as(params)], seeds)[0]
+
+
+def _simulate_sets(sets: list[SimulationParams], seeds: list[int]
+                   ) -> list[tuple[np.ndarray, np.ndarray, dict[int, AbortCapExceeded]]]:
+    """`_simulate` of each of `sets`: distinct sets of one `without_app`
+    twin, each the twin itself or a set whose alerts can act.  Blocks of
+    `_BLOCK` rows advance together.  In each block the twin runs once, as
+    far as any set needs it, and each set with a fork day after day 0
+    resumes from the twin's state on that day; when no two sets would share
+    the twin's run, each set runs alone from day 0."""
+    forked: dict[SimulationParams, int] = {}
+    if len(sets) > 1:
+        twin = sets[0].without_app()
+        forked = {p: day for p in sets if p != twin and (day := _fork_day(p)) > 0}
+        if len(forked) + (twin in sets) < 2:
+            forked = {}
+    shape = (len(seeds), sets[0].horizon_days + 1)
+    runs = {p: (np.zeros(shape, np.int64), np.zeros(shape, np.int64), {})
+            for p in dict.fromkeys([*sets, twin] if forked else sets)}
+
+    def advance(params: SimulationParams, block: slice, **state) -> dict[int, _Fork]:
+        series, offspring, aborts = runs[params]
+        aborted, forks = _advance(params, seeds[block], series[block], offspring[block], **state)
+        aborts.update((block.start + r, abort) for r, abort in aborted.items())
+        return forks
+
     for start in range(0, len(seeds), _BLOCK):
         block = slice(start, start + _BLOCK)
-        aborted = _advance(params, seeds[block], series[block], offspring[block])
-        aborts.update((start + r, abort) for r, abort in aborted.items())
-    return series, offspring, aborts
+        if forked:
+            forks = advance(twin, block, fork_days=frozenset(forked.values()),
+                            until=None if twin in sets else max(forked.values()))
+        for params in sets:
+            if params in forked:
+                advance(params, block, resume=forks[forked[params]])
+            elif not forked or params != twin:
+                advance(params, block)
+    return [runs[p] for p in sets]
 
 
 def _advance(params: SimulationParams, seeds: list[int], series: np.ndarray,
-             offspring: np.ndarray) -> dict[int, AbortCapExceeded]:
+             offspring: np.ndarray, resume: _Fork | None = None, until: int | None = None,
+             fork_days: frozenset[int] = frozenset()
+             ) -> tuple[dict[int, AbortCapExceeded], dict[int, _Fork]]:
     """Advance one replicate per seed a day at a time, all together, into
-    the zeroed rows of `series` and `offspring`; return the abort of each
-    row that passed the cap."""
+    the zeroed rows of `series` and `offspring`: from day 0, or from the
+    twin's state `resume` on this set's fork day, up to day `until` (by
+    default through the horizon).  Return the abort of each row that passed
+    the cap, and this run's state at the start of each of `fork_days`."""
     days, horizon, rows = params.incubation_days, params.horizon_days, len(seeds)
     spreads = [np.random.Generator(np.random.PCG64(derive_seed(seed, 0))) for seed in seeds]
     coins = [np.random.Generator(np.random.PCG64(derive_seed(seed, 1))) for seed in seeds]
     at_detection = params.alert_policy is AlertPolicy.AT_DETECTION
     never = days  # alert offset of cases that are never alerted
     if at_detection:
-        # count[r, i, j, u]: row r's cases of age days+1-i whose alert takes
+        # count[r, i, j, u]: row r's cases of age days-i whose alert takes
         # effect j days after infection, split by whether they will upload;
-        # the window slides one slot a day, and slot 0 (age days+1, past its
-        # window) is never read.  weight[i, j]: slot i's relative rate
-        count = np.zeros((rows, days + 1, days + 1, 2), np.int64)
-        a, j = np.arange(days + 1, 0, -1)[:, None], np.arange(days + 1)
+        # the window slides one slot a day.  weight[i, j]: slot i's relative rate
+        count = np.zeros((rows, days, days + 1, 2), np.int64)
+        a, j = np.arange(days, 0, -1)[:, None], np.arange(days + 1)
         weight = np.where((j <= a) & (j < never), 1.0 / params.quarantine_factor, 1.0)
     else:
         alerted = np.zeros((rows, horizon + 1), np.int64)  # at creation; the rest never
     live = list(range(rows))  # rows still drawing
     aborts: dict[int, AbortCapExceeded] = {}
+    forks: dict[int, _Fork] = {}
 
     # numpy's binomial draws nothing at probability 0, so each coin call
     # below is skipped where its probability is 0 and leaves the coin
@@ -291,9 +361,29 @@ def _advance(params: SimulationParams, seeds: list[int], series: np.ndarray,
                 for r in live:
                     alerted[r, day] = coins[r].binomial(int(totals[r]), alert_prob)
 
-    series[:, 0] = params.initial_infected
-    create(0, np.zeros((rows, 0), np.int64))
-    for day in range(1, horizon + 1):
+    def fork(day: int) -> _Fork:
+        return _Fork(day, series[:, :day].copy(), offspring[:, :day].copy(),
+                     [spread.bit_generator.state for spread in spreads], list(live), dict(aborts))
+
+    if resume is None:
+        series[:, 0] = params.initial_infected
+        create(0, np.zeros((rows, 0), np.int64))
+        first = 1
+    else:
+        # the coin generators stay fresh, since the twin draws no coin; and
+        # before the fork day no coin could be drawn, so no case in the
+        # window is alerted or will upload
+        first = resume.day
+        series[:, :first], offspring[:, :first] = resume.series, resume.offspring
+        for spread, state in zip(spreads, resume.spreads):
+            spread.bit_generator.state = state
+        live, aborts = list(resume.live), dict(resume.aborts)
+        if at_detection:
+            window = min(first, days)
+            count[:, days - window :, never, 0] = series[:, first - window : first]
+    for day in range(first, horizon + 1 if until is None else until):
+        if day in fork_days:
+            forks[day] = fork(day)
         lo = max(0, day - days)
         active = series[:, lo:day].sum(axis=1).tolist()
         for r in live:
@@ -329,7 +419,9 @@ def _advance(params: SimulationParams, seeds: list[int], series: np.ndarray,
                     lineage[r] = coins[r].binomial(coins[r].binomial(born[r], shares[r]),
                                                    params.efficiency)
         create(day, lineage)
-    return aborts
+    # the days the loop did not reach: it stopped at `until`, or no row is live
+    forks.update((day, fork(day)) for day in fork_days if day not in forks)
+    return aborts, forks
 
 
 def run_replicate(params: SimulationParams, seed: int) -> np.ndarray:
@@ -350,10 +442,31 @@ def run_ensemble(params: SimulationParams, base_seed: int) -> EnsembleSeries:
     shortest, and the capped replicates are listed in
     `aborted_replicates`; nothing is dropped silently.
     """
-    series, _, aborts = _simulate(
-        params, [derive_seed(base_seed, r) for r in range(params.replicates)])
-    length = min((abort.day for abort in aborts.values()), default=params.horizon_days + 1)
-    return EnsembleSeries(daily=series[:, :length], aborted_replicates=sorted(aborts))
+    return run_ensembles([params], base_seed)[0]
+
+
+def run_ensembles(columns: list[SimulationParams], base_seed: int) -> list[EnsembleSeries]:
+    """`run_ensemble(params, base_seed)` of each of `columns`, bit for bit.
+
+    Columns with the same `without_app` twin share its run on the shared
+    replicate seeds: a column whose alerts cannot act is its twin, and one
+    whose alerts can act draws what the twin draws until its fork day, so
+    it runs on from the twin's state on that day.  Equal columns share one
+    ensemble.
+    """
+    keys = [_runs_as(params) for params in columns]
+    groups: dict[SimulationParams, list[SimulationParams]] = {}
+    for key in dict.fromkeys(keys):
+        groups.setdefault(key.without_app(), []).append(key)
+    ensembles: dict[SimulationParams, EnsembleSeries] = {}
+    for sets in groups.values():
+        seeds = [derive_seed(base_seed, r) for r in range(sets[0].replicates)]
+        for key, (series, _, aborts) in zip(sets, _simulate_sets(sets, seeds)):
+            length = min((abort.day for abort in aborts.values()),
+                         default=key.horizon_days + 1)
+            ensembles[key] = EnsembleSeries(daily=series[:, :length],
+                                            aborted_replicates=sorted(aborts))
+    return [ensembles[key] for key in keys]
 
 
 def expected_daily_incidence(params: SimulationParams) -> np.ndarray:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proximity_sim import cli
+from proximity_sim import cli, epidemic
 from proximity_sim.cli import run_command
 from proximity_sim.report import emit_csv, emit_svg
 
@@ -186,19 +186,27 @@ class TestSweepCommand:
     ):
         config = tmp_path / "run.cfg"
         config.write_text(config_text + "replicates=2\n")
-        ran = []
-        run_ensemble = cli.run_ensemble
+        entries, runs = [], []
+        run_ensembles, advance = cli.run_ensembles, epidemic._advance
 
-        def counting(params, base_seed):
-            ran.append(params)
-            return run_ensemble(params, base_seed)
+        def counting_entry(columns, base_seed):
+            entries.append(columns)
+            return run_ensembles(columns, base_seed)
 
-        monkeypatch.setattr(cli, "run_ensemble", counting)
+        def counting_run(params, *args, **kwargs):
+            runs.append(params)
+            return advance(params, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_ensembles", counting_entry)
+        monkeypatch.setattr(epidemic, "_advance", counting_run)
         code = run_command(
             ["sweep", "--config", str(config), "--out", str(tmp_path / "out"), "--sweep", axis]
         )
         assert code == 0
-        assert len(ran) == calls
+        # one call for every column, and one day loop for each distinct
+        # ensemble (two replicates make one block)
+        assert len(entries) == 1 and len(entries[0]) == len(axis.split(",")) + 1
+        assert len(runs) == calls
 
 
 class TestWorldCommand:
@@ -306,10 +314,11 @@ class TestWorldCommand:
                                                                message):
         config = tmp_path / "world.cfg"
         config.write_text(config_text + "box_size=5\nkey_bits=32\nhorizon_seconds=10\n")
-        proc = run_world_process(config, tmp_path / "out")
+        proc = run_world_process(config, tmp_path / "out" / "world")
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"configuration error: {message}")
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()  # nor the parent it made
 
 
 @pytest.mark.parametrize("command", ["epidemic", "sweep", "world"])
@@ -317,7 +326,7 @@ def test_unusable_out_is_a_configuration_error(tmp_path, capsys, monkeypatch, co
     def simulate(*_args, **_kwargs):
         raise AssertionError("simulated before checking --out")
 
-    monkeypatch.setattr(cli, "run_ensemble", simulate)
+    monkeypatch.setattr(cli, "run_ensembles", simulate)
     monkeypatch.setattr(cli.World, "run", simulate)
     config = tmp_path / "run.cfg"
     config.write_text("agent_count=4\ninitial_infected=1\nkey_bits=32\n" if command == "world"

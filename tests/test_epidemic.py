@@ -23,6 +23,7 @@ from proximity_sim.epidemic import (
     mean_completed_offspring,
     renewal_growth_factor,
     run_ensemble,
+    run_ensembles,
     run_replicate,
 )
 
@@ -110,7 +111,12 @@ def assert_batch_matches_reference(params: SimulationParams, seeds: list[int]) -
     """Run `seeds` as one batch and check every row against the reference:
     a finished row bit for bit, an aborted row by its abort day, active
     count and partial series.  Returns the batch's aborts."""
-    series, offspring, aborts = _simulate(params, seeds)
+    return assert_rows_match_reference(params, seeds, *_simulate(params, seeds))
+
+
+def assert_rows_match_reference(params: SimulationParams, seeds: list[int], series: np.ndarray,
+                                offspring: np.ndarray, aborts: dict) -> dict:
+    """Check a batch's rows, one per seed, as `assert_batch_matches_reference` does."""
     assert series.shape == offspring.shape == (len(seeds), params.horizon_days + 1)
     expected = reference_rows(params, seeds)
     assert sorted(aborts) == [r for r, row in enumerate(expected)
@@ -197,6 +203,121 @@ class TestReferenceEngine:
         cases = sum(int(row[0][cohorts].sum()) for row in rows)
         assert mean_completed_offspring(params, base_seed=5, replicates=3,
                                         after_day=20) == (offspring / cases, cases)
+
+
+class TestFork:
+    """`run_ensembles` runs each no-app twin once and resumes every set
+    whose alerts can act from the twin's state on its fork day, the first
+    day it could draw an alert coin.  Each column must equal its own
+    `run_ensemble`, and each row of a shared run the reference run alone."""
+
+    @staticmethod
+    def assert_columns_match(columns: list[SimulationParams], base_seed: int) -> list:
+        """Check `columns` (one twin for all) against each column run alone and
+        the reference; return the shared run's (series, offspring, aborts)."""
+        seeds = [derive_seed(base_seed, r) for r in range(columns[0].replicates)]
+        sets = list(dict.fromkeys(epidemic._runs_as(params) for params in columns))
+        runs = epidemic._simulate_sets(sets, seeds)
+        for params, run in zip(sets, runs):
+            assert_rows_match_reference(params, seeds, *run)
+        ensembles = run_ensembles(columns, base_seed)
+        assert len(ensembles) == len(columns)
+        for params, ensemble in zip(columns, ensembles):
+            alone = run_ensemble(params, base_seed)
+            assert np.array_equal(ensemble.daily, alone.daily)
+            assert ensemble.aborted_replicates == alone.aborted_replicates
+        return runs
+
+    @staticmethod
+    def columns(base: SimulationParams) -> list[SimulationParams]:
+        """The no-app baseline and alert settings of `base` with fork days on
+        day 0, before, within and after the ramps of the others, past the
+        horizon (the twin itself) and a k=1 column (the twin too)."""
+        alerts = [replace(base, activation_day=day, ramp_days=ramp)
+                  for day, ramp in ((0, 0), (0, 10), (10, 10), (20, 10), (29, 10), (38, 0))]
+        return [base.without_app(), *alerts, replace(base, activation_day=base.horizon_days + 5),
+                replace(base, quarantine_factor=1.0)]
+
+    BASE = SimulationParams(incubation_days=10, horizon_days=40, initial_infected=5,
+                            efficiency=0.6, replicates=6)
+
+    @pytest.mark.parametrize("policy", list(AlertPolicy))
+    def test_forks_match_their_runs_alone(self, policy):
+        base = replace(self.BASE, alert_policy=policy)
+        columns = self.columns(base)
+        forks = sorted({epidemic._fork_day(p) for p in columns if epidemic.alerts_can_act(p)})
+        assert forks[0] == 0 and len(forks) >= 5  # a fork day 0, and days within the run
+        assert not epidemic.alerts_can_act(columns[-2])  # a fork day past the horizon
+        self.assert_columns_match(columns, 3)
+        # no column needs the twin's whole series: it runs to the last fork day
+        self.assert_columns_match(columns[2:-2], 3)
+
+    @pytest.mark.parametrize("policy", list(AlertPolicy))
+    def test_caps_abort_before_and_after_the_fork_day(self, policy):
+        base = replace(self.BASE, max_active=500, replicates=8, alert_policy=policy)
+        columns = self.columns(base)
+        _, _, aborts = self.assert_columns_match(columns, 8)[0]
+        days = [abort.day for abort in aborts.values()]
+        assert any(min(days) < epidemic._fork_day(p) <= max(days)  # not vacuous
+                   for p in columns if epidemic.alerts_can_act(p))
+
+    @pytest.mark.parametrize("policy", list(AlertPolicy))
+    def test_outbreaks_that_die_out_before_the_fork_day(self, policy):
+        # r0=0.8: some rows die out before a fork day and some after it
+        base = replace(self.BASE, r0=0.8, initial_infected=2, replicates=12, alert_policy=policy)
+        columns = [base.without_app(), *(replace(base, activation_day=day, ramp_days=10)
+                                         for day in (10, 20, 29))]
+        series, _, _ = self.assert_columns_match(columns, 8)[0]
+        fork = epidemic._fork_day(columns[2])
+        gone = series[:, fork - base.incubation_days : fork].sum(axis=1) == 0
+        assert 0 < gone.sum() < len(gone)  # not vacuous
+
+    def test_columns_of_different_twins_and_blocks(self):
+        # r0, replicates or horizon change the twin; 66 replicates make two
+        # blocks, and the cap stops rows of both
+        base = SimulationParams(horizon_days=35, activation_day=15, replicates=66, max_active=5000)
+        columns = [base.without_app(), base, replace(base, alert_policy=AlertPolicy.AT_DETECTION),
+                   replace(base, r0=2.5), replace(base, replicates=3),
+                   replace(base, horizon_days=30), base]
+        ensembles = run_ensembles(columns, 9)
+        for params, ensemble in zip(columns, ensembles):
+            alone = run_ensemble(params, 9)
+            assert np.array_equal(ensemble.daily, alone.daily)
+            assert ensemble.aborted_replicates == alone.aborted_replicates
+        assert ensembles[1] is ensembles[-1]  # equal columns share one ensemble
+        assert {1, 64} <= set(ensembles[0].aborted_replicates)
+
+    @pytest.mark.parametrize("policy", list(AlertPolicy))
+    def test_the_twins_prefix_is_drawn_once(self, monkeypatch, policy):
+        calls = {"poisson": 0, "binomial": 0}
+
+        class CountingGenerator(np.random.Generator):
+            def poisson(self, *args, **kwargs):
+                calls["poisson"] += 1
+                return super().poisson(*args, **kwargs)
+
+            def binomial(self, *args, **kwargs):
+                calls["binomial"] += 1
+                return super().binomial(*args, **kwargs)
+
+        def counted(params: list[SimulationParams]) -> dict[str, int]:
+            before = dict(calls)
+            run_ensembles(params, 5)
+            return {name: calls[name] - before[name] for name in calls}
+
+        monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+        base = SimulationParams(horizon_days=40, replicates=3, alert_policy=policy)
+        twin = base.without_app()
+        acting = [replace(base, activation_day=day) for day in (20, 25, 30)]
+        expected = counted([twin])
+        for params in acting:
+            # the column's draws from its fork day on: its own run's, less its
+            # twin's on the days before the fork day
+            fork = epidemic._fork_day(params)
+            alone, prefix = counted([params]), counted([replace(twin, horizon_days=fork - 1)])
+            assert prefix["poisson"] > 0 and prefix["binomial"] == 0
+            expected = {name: expected[name] + alone[name] - prefix[name] for name in calls}
+        assert counted([twin, *acting]) == expected
 
 
 def test_at_detection_state_beyond_the_rows_is_bounded_by_the_incubation_window():
