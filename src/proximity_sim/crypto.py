@@ -8,7 +8,14 @@ product of u distinct primes (two at 32 bits, three at 2048, four at
 4096), and decryption goes through the Chinese Remainder Theorem (one
 exponentiation mod each prime, recombined by Garner's formula), which
 gives the same integer as c^d mod n at about a fifth of the cost for a
-three-prime 2048-bit key.  Security is still not a claim here: no
+three-prime 2048-bit key.  Each prime comes from a seeded search:
+trial division, then Miller-Rabin with MILLER_RABIN_ROUNDS[bit_length]
+random witnesses, 9 rounds for the 682/683-bit primes of a 2048-bit key
+and 6 for the 1024-bit primes of a 4096-bit one.  Those are the fewest
+rounds for which the Damgard-Landrock-Pomerance bound on random
+candidates (Math. Comp. 61, 177, 1993; HAC Fact 4.48) puts the chance
+that a composite is accepted below 2^-128.  32-bit keys keep their 40
+rounds, and with them their stream.  Security is still not a claim here: no
 padding, no blinding and no check against faulty partial results.  The
 contract that matters is decrypt(encrypt(m)) == m for every plaintext
 below the modulus, deterministically per seed.
@@ -51,7 +58,11 @@ __all__ = [
 PRIME_COUNT = {32: 2, 2048: 3, 4096: 4}
 SUPPORTED_KEY_BITS = tuple(PRIME_COUNT)
 
-MILLER_RABIN_ROUNDS = 40
+# Miller-Rabin rounds per key size (see the module docstring); one round
+# fewer gives 2^-123.2 at k = 683 and 2^-120.3 at k = 1024.  The bound needs
+# k >= 21, and trial division already decides a 16-bit candidate exactly,
+# so 32 keeps 40 rounds and every 32-bit key its stream.
+MILLER_RABIN_ROUNDS = {32: 40, 2048: 9, 4096: 6}
 
 _SMALL_PRIMES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
@@ -139,16 +150,18 @@ def _sieve_product() -> int:
     return factors[0]
 
 
-def _is_probable_prime(n: int, rand: random.Random) -> bool:
-    """Miller-Rabin over MILLER_RABIN_ROUNDS witnesses from the seeded stream.
+def _is_probable_prime(n: int, rand: random.Random, rounds: int) -> bool:
+    """Miller-Rabin over `rounds` witnesses from the seeded stream.
 
-    A round passes only if a^(n-1) = 1 mod n, hence mod every divisor of
-    n.  So when n shares a factor g with the primes below _SIEVE_BOUND, a
-    witness with a^(n-1) != 1 mod g fails its round without the full
-    modular exponentiation; about half the composites that reach the
-    rounds in a 2048-bit key search end there.  Every round still draws
-    its witness, so the stream, and with it every key, is the same as
-    without the shortcut.
+    Trial division comes first: by _SMALL_PRIMES, then, for n above
+    _SIEVE_BOUND, by every prime below it through one gcd with
+    _sieve_product().  A composite it finds draws no witness.  The key
+    search passes MILLER_RABIN_ROUNDS: 9 rounds for a 682/683-bit
+    candidate and 6 for a 1024-bit one keep the Damgard-Landrock-Pomerance
+    bound (HAC Fact 4.48) on accepting a composite below 2^-128.  A 16-bit
+    candidate is decided exactly by _SMALL_PRIMES, since every composite
+    below 2^16 has a factor below 256, and keeps its 40 rounds, so 32-bit
+    keys are unchanged.
     """
     if n < 2:
         return False
@@ -157,16 +170,15 @@ def _is_probable_prime(n: int, rand: random.Random) -> bool:
             return True
         if n % p == 0:
             return False
-    shared = math.gcd(n, _sieve_product()) if n > _SIEVE_BOUND else 1
+    if n > _SIEVE_BOUND and math.gcd(n, _sieve_product()) > 1:
+        return False
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for _ in range(MILLER_RABIN_ROUNDS):
+    for _ in range(rounds):
         a = rand.randrange(2, n - 1)
-        if shared > 1 and pow(a, n - 1, shared) != 1:
-            return False
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -179,10 +191,10 @@ def _is_probable_prime(n: int, rand: random.Random) -> bool:
     return True
 
 
-def _random_prime(bits: int, rand: random.Random) -> int:
+def _random_prime(bits: int, rand: random.Random, rounds: int) -> int:
     while True:
         candidate = rand.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if _is_probable_prime(candidate, rand):
+        if _is_probable_prime(candidate, rand, rounds):
             return candidate
 
 
@@ -193,17 +205,21 @@ def generate_keypair(seed: int, bit_length: int) -> KeyPair:
     meant for scenario setup.  The modulus is the product of
     PRIME_COUNT[bit_length] distinct primes whose sizes sum to
     bit_length (683, 683 and 682 bits at 2048), drawn in turn from one
-    seeded stream.  The public exponent is 65537, falling back to 17 and
-    then to fresh primes when the coprimality constraint with
-    lcm(r_i - 1) fails.
+    seeded stream.  Each prime passes MILLER_RABIN_ROUNDS[bit_length]
+    Miller-Rabin rounds: 40 at 32 bits, 9 at 2048 and 6 at 4096, the
+    fewest for which HAC Fact 4.48 bounds the chance of a composite
+    below 2^-128 (see the module docstring).  The public exponent is
+    65537, falling back to 17 and then to fresh primes when the
+    coprimality constraint with lcm(r_i - 1) fails.
     """
     if bit_length not in SUPPORTED_KEY_BITS:
         raise ValueError(f"bit_length must be one of {SUPPORTED_KEY_BITS}, got {bit_length}")
     rand = random.Random(seed)
     count = PRIME_COUNT[bit_length]
+    rounds = MILLER_RABIN_ROUNDS[bit_length]
     sizes = [bit_length // count + (i < bit_length % count) for i in range(count)]
     for _ in range(64):
-        primes = tuple(_random_prime(bits, rand) for bits in sizes)
+        primes = tuple(_random_prime(bits, rand, rounds) for bits in sizes)
         if len(set(primes)) < count:
             continue
         lam = math.lcm(*(r - 1 for r in primes))

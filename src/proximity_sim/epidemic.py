@@ -274,17 +274,20 @@ def _simulate(params: SimulationParams, seeds: list[int]
     return _simulate_sets([_runs_as(params)], seeds)[0]
 
 
-def _simulate_sets(sets: list[SimulationParams], seeds: list[int]
+def _simulate_sets(sets: list[SimulationParams], seeds: list[int],
+                   twin: SimulationParams | None = None
                    ) -> list[tuple[np.ndarray, np.ndarray, dict[int, AbortCapExceeded]]]:
     """`_simulate` of each of `sets`: distinct sets of one `without_app`
-    twin, each the twin itself or a set whose alerts can act.  Blocks of
-    `_BLOCK` rows advance together.  In each block the twin runs once, as
-    far as any set needs it, and each set with a fork day after day 0
-    resumes from the twin's state on that day; when no two sets would share
-    the twin's run, each set runs alone from day 0."""
+    twin (`twin`, found from the sets when not given), each the twin itself
+    or a set whose alerts can act.  Blocks of `_BLOCK` rows advance
+    together.  In each block the twin runs once, as far as any set needs
+    it, and each set with a fork day after day 0 resumes from the twin's
+    state on that day; when no two sets would share the twin's run, each
+    set runs alone from day 0."""
     forked: dict[SimulationParams, int] = {}
     if len(sets) > 1:
-        twin = sets[0].without_app()
+        if twin is None:
+            twin = sets[0].without_app()
         forked = {p: day for p in sets if p != twin and (day := _fork_day(p)) > 0}
         if len(forked) + (twin in sets) < 2:
             forked = {}
@@ -454,14 +457,19 @@ def run_ensembles(columns: list[SimulationParams], base_seed: int) -> list[Ensem
     it runs on from the twin's state on that day.  Equal columns share one
     ensemble.
     """
-    keys = [_runs_as(params) for params in columns]
+    twins: dict[SimulationParams, SimulationParams] = {}  # each key's twin
+    keys = []
+    for params in columns:
+        twin = params.without_app()
+        keys.append(key := params if alerts_can_act(params) else twin)
+        twins.setdefault(key, twin)
     groups: dict[SimulationParams, list[SimulationParams]] = {}
-    for key in dict.fromkeys(keys):
-        groups.setdefault(key.without_app(), []).append(key)
+    for key, twin in twins.items():
+        groups.setdefault(twin, []).append(key)
     ensembles: dict[SimulationParams, EnsembleSeries] = {}
-    for sets in groups.values():
-        seeds = [derive_seed(base_seed, r) for r in range(sets[0].replicates)]
-        for key, (series, _, aborts) in zip(sets, _simulate_sets(sets, seeds)):
+    for twin, sets in groups.items():
+        seeds = [derive_seed(base_seed, r) for r in range(twin.replicates)]
+        for key, (series, _, aborts) in zip(sets, _simulate_sets(sets, seeds, twin)):
             length = min((abort.day for abort in aborts.values()),
                          default=key.horizon_days + 1)
             ensembles[key] = EnsembleSeries(daily=series[:, :length],

@@ -360,6 +360,15 @@ class World:
     search and in sensing, so app users near it keep recording encounters
     with it.
 
+    Tick convention: each tick transmits from the agents infectious when it
+    starts, then detects every case infected at least incubation_seconds
+    earlier.  So an initial case, infected at t = 0, transmits on the tick
+    it is infected on, and a later case, infected during some tick's
+    transmission, first transmits on the next tick.  Both transmit on
+    their detection tick.  At the defaults (3,600 s, 10 s ticks) an
+    initial case has 361 infectious ticks and every other case 360; the
+    outbreak model gives initial cases the same window as the others.
+
     The world owns the agents' state as arrays indexed by agent id:
     positions and waypoints ((n, 2), None in a replayed trace), speeds,
     health codes (`_SUSCEPTIBLE`, `_INFECTED`, `_DETECTED`) and infection

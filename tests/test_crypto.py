@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 from proximity_sim.crypto import (
     Envelope,
     KeyMismatch,
+    KeyPair,
     KeygenFailure,
     MILLER_RABIN_ROUNDS,
+    PRIME_COUNT,
     MalformedNumber,
     PlaintextTooLarge,
     _is_probable_prime,
@@ -39,21 +42,31 @@ def slow_modexp(base: int, exponent: int, modulus: int) -> int:
     return result
 
 
-PRIMES_BELOW_350 = [p for p in range(2, 350) if all(p % f for f in range(2, p))]
+def primes_below(bound: int) -> list[int]:
+    """Sieve of Eratosthenes, independent of the package's sieve."""
+    flags = [True] * bound
+    flags[:2] = [False, False]
+    for i in range(2, math.isqrt(bound) + 1):
+        if flags[i]:
+            for j in range(i * i, bound, i):
+                flags[j] = False
+    return [i for i, prime in enumerate(flags) if prime]
 
 
-def plain_miller_rabin(n: int, rand: random.Random) -> bool:
-    """Reference: Miller-Rabin on the same witness stream, with trial
-    division only by the primes below 350 and no sieve shortcut."""
-    if n < 2:
-        return False
-    for p in PRIMES_BELOW_350:
+PRIMES_BELOW_2_16 = primes_below(1 << 16)
+
+
+def plain_miller_rabin(n: int, rand: random.Random, rounds: int) -> bool:
+    """Reference for candidates above 2^16: trial division by every prime
+    below 2^16, then `rounds` Miller-Rabin rounds on the same witness
+    stream.  A composite with a factor below 2^16 draws no witness."""
+    for p in PRIMES_BELOW_2_16:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for _ in range(MILLER_RABIN_ROUNDS):
+    for _ in range(rounds):
         x = pow(rand.randrange(2, n - 1), d, n)
         if x in (1, n - 1):
             continue
@@ -64,6 +77,36 @@ def plain_miller_rabin(n: int, rand: random.Random) -> bool:
         else:
             return False
     return True
+
+
+def log2_dlp_bound(k: int, t: int) -> float:
+    """log2 of the Damgard-Landrock-Pomerance bound on p_{k,t}, the chance
+    that a random odd k-bit integer passing t Miller-Rabin rounds with
+    random witnesses is composite (HAC Fact 4.48); the least of the parts
+    that apply, and 0 (no bound) when none does."""
+    parts = []
+    if t == 1 and k >= 2:  # (i)
+        parts.append(2 * math.log2(k) + 2 * (2 - math.sqrt(k)))
+    if (t == 2 and k >= 88) or (3 <= t <= k / 9 and k >= 21):  # (ii)
+        parts.append(1.5 * math.log2(k) + t - 0.5 * math.log2(t) + 2 * (2 - math.sqrt(t * k)))
+    if k / 9 <= t <= k / 4 and k >= 21:  # (iii)
+        parts.append(math.log2(7 / 20 * k * 2 ** (-5 * t)
+                               + 1 / 7 * k ** 3.75 * 2 ** (-k / 2 - 2 * t)
+                               + 12 * k * 2 ** (-k / 4 - 3 * t)))
+    if t >= k / 4 and k >= 21:  # (iv)
+        parts.append(math.log2(1 / 7) + 3.75 * math.log2(k) - k / 2 - 2 * t)
+    return min(parts, default=0.0)
+
+
+def prime_sizes(bits: int) -> set[int]:
+    count = PRIME_COUNT[bits]
+    return {bits // count + (i < bits % count) for i in range(count)}
+
+
+@functools.cache
+def big_keypair(seed: int, bits: int) -> KeyPair:
+    """generate_keypair at 2048 or 4096 bits, searched once per module."""
+    return generate_keypair(seed, bits)
 
 
 def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -121,25 +164,52 @@ class TestKeygen:
     @pytest.mark.parametrize("bits", [20, 48, 64, 128])
     def test_sieve_shortcut_keeps_prime_and_stream(self, bits):
         # the key search must draw the same primes from the same stream
-        # position as plain Miller-Rabin, or keys would change per seed
+        # position as trial division below 2^16 then plain Miller-Rabin
+        rounds = MILLER_RABIN_ROUNDS[2048]
         for seed in range(150):
             ours, plain = random.Random(seed), random.Random(seed)
-            prime = _random_prime(bits, ours)
+            prime = _random_prime(bits, ours, rounds)
             while True:
                 candidate = plain.getrandbits(bits) | (1 << (bits - 1)) | 1
-                if plain_miller_rabin(candidate, plain):
+                if plain_miller_rabin(candidate, plain, rounds):
                     break
             assert prime == candidate
             assert ours.getstate() == plain.getstate()
 
     def test_sieve_shortcut_on_carmichael_number(self):
-        # 601 * 1201 * 1801: every factor is in the sieve, but a^(n-1) = 1
-        # for every a coprime to n, so each round needs the full test
+        # 601 * 1201 * 1801: a^(n-1) = 1 for every a coprime to n, but each
+        # factor is below 2^16, so the sieve rejects it before any witness
         n = 601 * 1201 * 1801
         for seed in range(200):
             ours, plain = random.Random(seed), random.Random(seed)
-            assert _is_probable_prime(n, ours) == plain_miller_rabin(n, plain)
-            assert ours.getstate() == plain.getstate()
+            assert not _is_probable_prime(n, ours, MILLER_RABIN_ROUNDS[2048])
+            assert not plain_miller_rabin(n, plain, MILLER_RABIN_ROUNDS[2048])
+            assert ours.getstate() == plain.getstate() == random.Random(seed).getstate()
+
+    @pytest.mark.parametrize("bits", [2048, 4096])
+    def test_rounds_meet_a_2_to_the_minus_128_bound(self, bits):
+        # the fewest rounds whose bound is 2^-128 or less, for every prime size
+        rounds = MILLER_RABIN_ROUNDS[bits]
+        for k in prime_sizes(bits):
+            assert log2_dlp_bound(k, rounds) <= -128
+        assert max(log2_dlp_bound(k, rounds - 1) for k in prime_sizes(bits)) > -128
+
+    def test_dlp_bound_matches_quoted_values(self):
+        # the values HAC Fact 4.48 gives at the rounds just short of the table's
+        assert log2_dlp_bound(683, 8) == pytest.approx(-123.2, abs=0.05)
+        assert log2_dlp_bound(1024, 5) == pytest.approx(-120.3, abs=0.05)
+        assert log2_dlp_bound(16, 40) == 0.0  # no bound below k = 21
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed, bits", [(0, 2048), (5, 2048), (11, 2048), (0, 4096)])
+    def test_big_key_primes_pass_forty_independent_rounds(self, seed, bits):
+        pair = big_keypair(seed, bits)
+        check = random.Random(f"independent witnesses {seed}")
+        for r in pair.secret.primes:
+            assert plain_miller_rabin(r, check, 40)
+        for number in ("+393331234567", "12345", "987654321012345"):
+            message = encode_contact(number)
+            assert decrypt(pair, encrypt(pair.public, message)) == message
 
     def test_shared_factor_exponent_rejected(self):
         # phi(7*29) = 168 = 8*21; e=21 shares a factor
@@ -158,7 +228,7 @@ def assert_big_key_matches_modexp_oracle(seed: int, bits: int, sizes: tuple[int,
     """A generated key has distinct primes of the given sizes, and CRT
     decrypt equals c^d mod n at the edges, at multiples of the primes
     and at random ciphertexts."""
-    pair = generate_keypair(seed, bits)
+    pair = big_keypair(seed, bits)
     n, d, primes = pair.public.modulus, pair.secret.exponent, pair.secret.primes
     assert len(set(primes)) == len(sizes) and math.prod(primes) == n
     assert tuple(r.bit_length() for r in primes) == sizes

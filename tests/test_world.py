@@ -300,6 +300,36 @@ class TestInfectionAndProtocol:
             if event["type"] == "infection" and event["source"] in detected_at:
                 assert event["t"] <= detected_at[event["source"]]
 
+    def test_tick_convention_initial_case_transmits_one_tick_more(self):
+        # p = 1, and a fresh susceptible agent meets the initial case and its
+        # first child once at every tick, t = 0 through 110 s
+        config = quiet_config(
+            agent_count=25, box_size=20.0, infection_prob_per_second=1.0,
+            tick_seconds=10.0, app_user_fraction=0.0, incubation_seconds=100.0,
+            horizon_seconds=120.0, initial_infected=1, key_bits=32, radio=NOISELESS,
+        )
+        (initial,) = np.flatnonzero(World(config, seed=5, trace=[])._health == _INFECTED)
+        others = [i for i in range(config.agent_count) if i != initial]
+        child = others[0]
+        trace = [(case, peer, 10.0 * k, 10.0 * k + 10.0, 1.0)
+                 for case, peers in ((initial, others[:12]), (child, others[12:]))
+                 for k, peer in enumerate(peers)]
+        world = World(config, seed=5, trace=trace)
+        world.run()
+        events = world.events
+        ticks = {case: [e["t"] for e in events if e["type"] == "infection" and e["source"] == case]
+                 for case in (initial, child)}
+        # the initial case transmits on the tick it is infected on, its child does not
+        assert ticks[initial] == [10.0 * k for k in range(11)]
+        assert ticks[child] == [10.0 * k for k in range(1, 11)]
+        for case in (initial, child):
+            (detected,) = [i for i, e in enumerate(events)
+                           if e["type"] == "detected" and e["agent"] == case]
+            assert events[detected]["t"] == 100.0
+            last = max(i for i, e in enumerate(events)
+                       if e["type"] == "infection" and e["source"] == case)
+            assert events[last]["t"] == 100.0 and last < detected
+
     def test_every_secondary_case_reached(self):
         world = self.run_protocol_world()
         dispatched: dict[int, set[int]] = {}
